@@ -8,15 +8,13 @@ witness), the entanglement negativity, and the measurement-induced
 disturbance (MID).
 """
 
-from .decoherence import (DecoherenceFunction, OhmicSpectralDensity,
-                          RtnParams, SqueezedBathParams, ThermalBathParams,
-                          gamma_squeezed, gamma_thermal, memoize_on_grid,
+from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
+                          ThermalBathParams, gamma_squeezed, gamma_thermal,
                           rtn_dn, rtn_dn_montecarlo)
 from .dynamics import (QUBIT_QUTRIT, CompositeRtnSqueezed, RtnCommon,
                        RtnIndependent, Scenario, SpinLayout, SqueezedVacuum,
-                       ThermalOhmic, bath_gamma, dephase_single,
-                       element_factor, evolve, initial_mixed, initial_pure,
-                       mixed_coherence_factor)
+                       ThermalOhmic, bath_gamma, element_factor, evolve,
+                       initial_mixed, initial_pure, mixed_coherence_factor)
 from .plotting import series_svg
 from .hilbert import (DensityMatrix, PhiFamily, hermitian_eigenvalues,
                       hs_distance, partial_trace, partial_transpose,
@@ -27,13 +25,13 @@ from .witnesses import (ExtremaReport, WitnessSeries, chi_qudit_closed,
                         negativity_closed)
 
 __all__ = [
-    "DecoherenceFunction", "OhmicSpectralDensity", "RtnParams",
-    "SqueezedBathParams", "ThermalBathParams", "gamma_squeezed",
-    "gamma_thermal", "memoize_on_grid", "rtn_dn", "rtn_dn_montecarlo",
+    "OhmicSpectralDensity", "RtnParams", "SqueezedBathParams",
+    "ThermalBathParams", "gamma_squeezed", "gamma_thermal", "rtn_dn",
+    "rtn_dn_montecarlo",
     "QUBIT_QUTRIT", "CompositeRtnSqueezed", "RtnCommon", "RtnIndependent",
     "Scenario", "SpinLayout", "SqueezedVacuum", "ThermalOhmic",
-    "bath_gamma", "dephase_single", "element_factor", "evolve",
-    "initial_mixed", "initial_pure", "mixed_coherence_factor", "series_svg",
+    "bath_gamma", "element_factor", "evolve", "initial_mixed",
+    "initial_pure", "mixed_coherence_factor", "series_svg",
     "DensityMatrix", "PhiFamily", "hermitian_eigenvalues", "hs_distance",
     "partial_trace", "partial_transpose", "trace_norm", "von_neumann_entropy",
     "ExtremaReport", "WitnessSeries", "chi_qudit_closed", "chi_series",

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-``run --preset fig2..fig8 | --config FILE [--out-dir D] [--seed N]``
+``run --preset fig2..fig8 | --config FILE [--out-dir D]``
     Evaluate all four quantifiers on a time grid, write
     ``<name>.csv`` (header ``tau,hss,chi,negativity,mid``, 12 significant
     digits) and ``<name>.svg`` next to each other.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +56,52 @@ PRESETS: dict[str, dict] = {
              "tau_max": 30.0, "p": 0.0},
 }
 
-_BATH_DEFAULTS = {"alpha": 0.1, "s_ohmic": 3.0, "omega_c": 20.0,
-                  "r": 0.3, "theta": 0.0, "temperature": 0.0}
+#: bounds that keep a run's arrays small; a spin-s qudit is (2s+1) x (2s+1)
+MAX_SPIN = 50
+MAX_GRID_POINTS = 100_000
+
+_TOP_LEVEL_KEYS = {"version", "scenario", "tau_max", "grid_points", "phi", "p",
+                   "outputs"}
+_BATH = {"alpha": 0.1, "s_ohmic": 3.0, "omega_c": 20.0}
+_SQUEEZING = {"r": 0.3, "theta": 0.0}
+
+
+def _spectral(kw: dict) -> OhmicSpectralDensity:
+    return OhmicSpectralDensity(kw["alpha"], kw["s_ohmic"], kw["omega_c"])
+
+
+def _squeezed_bath(kw: dict) -> SqueezedBathParams:
+    return SqueezedBathParams(_spectral(kw), r=kw["r"], theta=kw["theta"])
+
+
+def _telegraph(kw: dict) -> RtnParams:
+    return RtnParams(nu=kw["nu"], gamma_rate=kw["q"] * kw["nu"])
+
+
+#: scenario kind -> (allowed keys with their defaults, environment constructor).
+#: ``spin`` (default None, the qubit-qutrit pair) selects a single spin-s qudit.
+KINDS = {
+    "squeezed": ({**_BATH, **_SQUEEZING, "spin": None},
+                 lambda kw: SqueezedVacuum(_squeezed_bath(kw))),
+    "thermal": ({**_BATH, "temperature": 0.0, "spin": None},
+                lambda kw: ThermalOhmic(ThermalBathParams(
+                    _spectral(kw), temperature=kw["temperature"]))),
+    "rtn_independent": ({"q": 0.1, "nu": 1.0},
+                        lambda kw: RtnIndependent(_telegraph(kw))),
+    "rtn_common": ({"q": 0.1, "nu": 1.0},
+                   lambda kw: RtnCommon(_telegraph(kw))),
+    "composite": ({**_BATH, **_SQUEEZING, "q": 0.1, "nu_ratio": 100.0},
+                  lambda kw: CompositeRtnSqueezed(
+                      rtn=RtnParams(nu=1.0, gamma_rate=kw["q"]),
+                      bath=_squeezed_bath(kw), nu_ratio=kw["nu_ratio"])),
+}
+
+
+def _number(key: str, value) -> float:
+    """A finite JSON number; booleans, strings, NaN and infinities are rejected."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigInvalid(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -69,62 +113,61 @@ class RunConfig:
     phi: float = float(np.pi)
     p: float | None = None
     outputs: tuple = ("csv", "svg")
-    seed: int = 0
 
     def __post_init__(self):
-        if self.grid_points < 16:
-            raise ConfigInvalid("grid_points must be >= 16")
+        if type(self.grid_points) is not int or not (
+                16 <= self.grid_points <= MAX_GRID_POINTS):
+            raise ConfigInvalid(
+                f"grid_points must be an integer in [16, {MAX_GRID_POINTS}]")
         if self.tau_max <= 0:
             raise ConfigInvalid("tau_max must be > 0")
-        bad = set(self.outputs) - {"csv", "svg"}
+        if self.p is not None:
+            if not 0.0 <= self.p <= 0.5:
+                raise ConfigInvalid("p must lie in [0, 1/2]")
+            if self.scenario.layout.dims != (2, 3):
+                raise ConfigInvalid("p needs the qubit-qutrit layout, not 'spin'")
+        bad = [o for o in self.outputs if o not in ("csv", "svg")]
         if bad:
-            raise ConfigInvalid(f"unknown outputs {sorted(bad)}")
+            raise ConfigInvalid(f"unknown outputs {bad}")
 
 
-def _build_scenario(block: dict) -> Scenario:
-    kind = block.get("kind")
-    bath_kw = {k: block.get(k, v) for k, v in _BATH_DEFAULTS.items()}
-    spectral = OhmicSpectralDensity(alpha=bath_kw["alpha"],
-                                    s_ohmic=bath_kw["s_ohmic"],
-                                    omega_c=bath_kw["omega_c"])
+def _build_scenario(block) -> Scenario:
     try:
-        if kind == "squeezed":
-            bath = SqueezedBathParams(spectral, r=bath_kw["r"],
-                                      theta=bath_kw["theta"])
-            if "spin" in block:
-                return Scenario(SpinLayout((block["spin"],)), SqueezedVacuum(bath))
-            return Scenario(QUBIT_QUTRIT, SqueezedVacuum(bath))
-        if kind == "thermal":
-            bath = ThermalBathParams(spectral, temperature=bath_kw["temperature"])
-            layout = (SpinLayout((block["spin"],)) if "spin" in block
-                      else QUBIT_QUTRIT)
-            return Scenario(layout, ThermalOhmic(bath))
-        if kind in ("rtn_independent", "rtn_common"):
-            rtn = RtnParams(nu=block.get("nu", 1.0),
-                            gamma_rate=block.get("q", 0.1) * block.get("nu", 1.0))
-            env = (RtnCommon if kind == "rtn_common" else RtnIndependent)(rtn)
-            return Scenario(QUBIT_QUTRIT, env)
-        if kind == "composite":
-            rtn = RtnParams(nu=1.0, gamma_rate=block.get("q", 0.1))
-            bath = SqueezedBathParams(spectral, r=bath_kw["r"],
-                                      theta=bath_kw["theta"])
-            return Scenario(QUBIT_QUTRIT, CompositeRtnSqueezed(
-                rtn=rtn, bath=bath, nu_ratio=block.get("nu_ratio", 100.0)))
+        kind = block.get("kind") if isinstance(block, dict) else None
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise ConfigInvalid(f"unknown scenario kind {kind!r}")
+        defaults, make = KINDS[kind]
+        unknown = sorted(set(block) - set(defaults) - {"kind"})
+        if unknown:
+            raise ConfigInvalid(f"unknown key(s) {unknown} for kind {kind!r}")
+        kw = {k: _number(k, block[k]) if k in block else v
+              for k, v in defaults.items()}
+        spin = kw.get("spin")
+        if spin is not None and spin > MAX_SPIN:
+            raise ConfigInvalid(f"spin must be <= {MAX_SPIN}")
+        layout = QUBIT_QUTRIT if spin is None else SpinLayout((spin,))
+        return Scenario(layout, make(kw))
     except InvalidParams as exc:
         raise ConfigInvalid(str(exc)) from exc
-    raise ConfigInvalid(f"unknown scenario kind {kind!r}")
 
 
 def load_config(name: str, raw: dict) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("a config must be a JSON object")
+    unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
+    if unknown:
+        raise ConfigInvalid(f"unknown key(s) {unknown}")
     if raw.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigInvalid(f"unsupported config version {raw.get('version')}")
     if "scenario" not in raw:
         raise ConfigInvalid("config needs a 'scenario' block")
-    kwargs = {}
-    for key in ("tau_max", "grid_points", "phi", "p", "seed"):
-        if raw.get(key) is not None:
-            kwargs[key] = raw[key]
+    kwargs = {key: _number(key, raw[key]) for key in ("tau_max", "phi", "p")
+              if raw.get(key) is not None}
+    if raw.get("grid_points") is not None:
+        kwargs["grid_points"] = raw["grid_points"]
     if "outputs" in raw:
+        if not isinstance(raw["outputs"], list):
+            raise ConfigInvalid("outputs must be a list")
         kwargs["outputs"] = tuple(raw["outputs"])
     return RunConfig(name=name, scenario=_build_scenario(raw["scenario"]),
                      **kwargs)
@@ -167,26 +210,23 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        if args.preset:
-            if args.preset not in PRESETS:
-                raise ConfigInvalid(f"unknown preset {args.preset!r}; "
-                                    f"choose from {sorted(PRESETS)}")
+        if args.preset:  # argparse has checked it against PRESETS
             config = load_config(args.preset, dict(PRESETS[args.preset]))
         else:
             path = Path(args.config)
             try:
                 raw = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+            # unreadable, not UTF-8 or not JSON
+            except (OSError, ValueError) as exc:
                 raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
             config = load_config(path.stem, raw)
-        if args.seed is not None:
-            config.seed = args.seed
     except ConfigInvalid as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     try:
         run_config(config, Path(args.out_dir))
-    except HsswitnessError as exc:
+    # overflow and non-finite matrix entries are numerical failures too
+    except (HsswitnessError, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0
@@ -223,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--preset", choices=sorted(PRESETS))
     p_run.add_argument("--config", help="JSON run configuration")
     p_run.add_argument("--out-dir", default=".", help="output directory")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="run the cross-check suites")

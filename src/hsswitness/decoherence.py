@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidParams, QuadratureNonConvergent
 
@@ -53,11 +52,6 @@ class OhmicSpectralDensity:
             raise InvalidParams("Ohmic exponent must be > 0")
         if self.omega_c <= 0:
             raise InvalidParams("cutoff frequency must be > 0")
-
-    def __call__(self, omega: float) -> float:
-        return (self.alpha * omega**self.s_ohmic
-                / self.omega_c ** (self.s_ohmic - 1.0)
-                * math.exp(-omega / self.omega_c))
 
 
 @dataclass(frozen=True)
@@ -311,25 +305,3 @@ def rtn_dn_montecarlo(n: int, q: float, tau: float, trials: int,
     stderr = math.sqrt(var / trials)
     return mean, stderr
 
-
-@dataclass(frozen=True)
-class DecoherenceFunction:
-    """A decoherence function tabulated on a grid with cubic interpolation."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    errors: np.ndarray
-
-    def __call__(self, t):
-        spline = CubicSpline(self.grid, self.values)
-        return spline(t)
-
-
-def memoize_on_grid(fn, grid, error_estimate: float = 0.0) -> DecoherenceFunction:
-    """Tabulate ``fn`` on ``grid`` and wrap it for interpolated evaluation."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-        raise InvalidParams("grid must be strictly increasing 1-D")
-    vals = np.array([fn(t) for t in grid], dtype=float)
-    errs = np.full_like(vals, error_estimate)
-    return DecoherenceFunction(grid=grid, values=vals, errors=errs)

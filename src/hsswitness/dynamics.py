@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -67,26 +68,43 @@ class SpinLayout:
 QUBIT_QUTRIT = SpinLayout((Fraction(1, 2), Fraction(1)))
 
 
-# --- environment models (tagged union) -------------------------------------
+# --- environment models ------------------------------------------------------
+# Each kind carries its facts as class data: the topology of its closed forms,
+# whether it needs the qubit-qutrit layout, its quantum bath (None for pure
+# telegraph noise) and nu_ratio, the telegraph clock in units of tau.
 
 @dataclass(frozen=True)
 class ThermalOhmic:
     bath: ThermalBathParams
+    topology: ClassVar[str] = "independent"
+    needs_qubit_qutrit: ClassVar[bool] = False
+    nu_ratio: ClassVar[float] = 1
 
 
 @dataclass(frozen=True)
 class SqueezedVacuum:
     bath: SqueezedBathParams
+    topology: ClassVar[str] = "independent"
+    needs_qubit_qutrit: ClassVar[bool] = False
+    nu_ratio: ClassVar[float] = 1
 
 
 @dataclass(frozen=True)
 class RtnIndependent:
     rtn: RtnParams
+    topology: ClassVar[str] = "independent"
+    needs_qubit_qutrit: ClassVar[bool] = True
+    bath: ClassVar[None] = None
+    nu_ratio: ClassVar[float] = 1
 
 
 @dataclass(frozen=True)
 class RtnCommon:
     rtn: RtnParams
+    topology: ClassVar[str] = "common"
+    needs_qubit_qutrit: ClassVar[bool] = True
+    bath: ClassVar[None] = None
+    nu_ratio: ClassVar[float] = 1
 
 
 @dataclass(frozen=True)
@@ -100,10 +118,12 @@ class CompositeRtnSqueezed:
     rtn: RtnParams
     bath: SqueezedBathParams
     nu_ratio: float = 100.0
+    topology: ClassVar[str] = "composite"
+    needs_qubit_qutrit: ClassVar[bool] = True
 
-
-Environment = (ThermalOhmic, SqueezedVacuum, RtnIndependent, RtnCommon,
-               CompositeRtnSqueezed)
+    def __post_init__(self):
+        if not self.nu_ratio > 0:
+            raise InvalidParams("nu_ratio must be > 0")
 
 
 @dataclass(frozen=True)
@@ -113,47 +133,38 @@ class Scenario:
 
     def __post_init__(self):
         env = self.environment
-        if not isinstance(env, Environment):
+        needs_qq = getattr(env, "needs_qubit_qutrit", None)
+        if needs_qq is None:
             raise UnsupportedScenario(f"unknown environment {type(env).__name__}")
-        bipartite = len(self.layout.spins) == 2
-        if isinstance(env, (RtnIndependent, RtnCommon, CompositeRtnSqueezed)):
-            if not bipartite or self.layout.dims != (2, 3):
+        if self.layout.dims != (2, 3):
+            if needs_qq:
                 raise UnsupportedScenario(
                     "telegraph-noise scenarios require the qubit-qutrit layout")
-        elif bipartite and self.layout.dims != (2, 3):
-            raise UnsupportedScenario("bipartite layouts are qubit-qutrit only")
+            if len(self.layout.spins) == 2:
+                raise UnsupportedScenario("bipartite layouts are qubit-qutrit only")
 
     @property
     def topology(self) -> str:
-        if isinstance(self.environment, RtnCommon):
-            return "common"
-        if isinstance(self.environment, CompositeRtnSqueezed):
-            return "composite"
-        return "independent"
+        return self.environment.topology
 
 
 @lru_cache(maxsize=None)
-def _gamma_cached(env, t: float) -> float:
-    if isinstance(env, ThermalBathParams):
-        return gamma_thermal(t, env)
-    return gamma_squeezed(t, env)
+def _gamma_cached(bath, t: float) -> float:
+    if isinstance(bath, ThermalBathParams):
+        return gamma_thermal(t, bath)
+    return gamma_squeezed(t, bath)
 
 
 def bath_gamma(scenario: Scenario, tau: float) -> float:
     """Quantum-bath decoherence exponent of the scenario at scaled time tau."""
-    env = scenario.environment
-    if isinstance(env, ThermalOhmic):
-        return _gamma_cached(env.bath, tau)
-    if isinstance(env, (SqueezedVacuum, CompositeRtnSqueezed)):
-        return _gamma_cached(env.bath, tau)
-    raise UnsupportedScenario("scenario has no quantum bath")
+    bath = scenario.environment.bath
+    if bath is None:
+        raise UnsupportedScenario("scenario has no quantum bath")
+    return _gamma_cached(bath, tau)
 
 
 def rtn_tau(scenario: Scenario, tau: float) -> float:
-    env = scenario.environment
-    if isinstance(env, CompositeRtnSqueezed):
-        return env.nu_ratio * tau
-    return tau
+    return scenario.environment.nu_ratio * tau
 
 
 def _dn(q: float, k: int, tau: float) -> float:
@@ -199,16 +210,6 @@ def initial_mixed(p: float) -> DensityMatrix:
 
 
 # --- dephasing factors -------------------------------------------------------
-
-def dephase_single(rho0: PhiFamily, s: float, gamma_fn, t: float) -> PhiFamily:
-    """Evolve a single spin-s state: rho_nm -> rho_nm * exp(-(n-m)^2 gamma)."""
-    g = gamma_fn(t)
-    labels = float(s) - np.arange(int(2 * float(s)) + 1)
-    dn = labels[:, None] - labels[None, :]
-    factor = np.exp(-dn**2 * g)
-    return PhiFamily(base=DensityMatrix(rho0.base.matrix * factor, rho0.base.dims),
-                     phase_mask=rho0.phase_mask, phi_ref=rho0.phi_ref)
-
 
 def element_factor(scenario: Scenario, nA: float, mA: float,
                    nB: float, mB: float, tau: float) -> float:
@@ -267,21 +268,12 @@ def evolve(scenario: Scenario, initial, tau: float):
 
 
 def mixed_coherence_factor(scenario: Scenario, tau: float) -> float:
-    """The scalar F damping the mixed state's coherences.
+    """The scalar F damping the mixed state's coherences: the |00><12| entry.
 
     F = exp(-5 gamma) for independent baths, D_2^2 for independent
     telegraph noise, D_4 for a common telegraph source, and
     D_2 * exp(-4 gamma) in the composite scenario.
     """
-    env = scenario.environment
-    if isinstance(env, (ThermalOhmic, SqueezedVacuum)):
-        return float(np.exp(-5.0 * bath_gamma(scenario, tau)))
-    q = env.rtn.q
-    if isinstance(env, RtnIndependent):
-        return rtn_dn(2, q, tau) ** 2
-    if isinstance(env, RtnCommon):
-        return rtn_dn(4, q, tau)
-    if isinstance(env, CompositeRtnSqueezed):
-        return (rtn_dn(2, q, rtn_tau(scenario, tau))
-                * float(np.exp(-4.0 * bath_gamma(scenario, tau))))
-    raise UnsupportedScenario(type(env).__name__)
+    if scenario.layout.dims != (2, 3):
+        raise UnsupportedScenario("F is defined for the qubit-qutrit layout only")
+    return float(factor_matrix(scenario, tau)[0, 5])

@@ -35,7 +35,3 @@ class UnsupportedScenario(HsswitnessError):
 
 class ConfigInvalid(HsswitnessError):
     """Run configuration failed validation."""
-
-
-class NumericalFailure(HsswitnessError):
-    """A numerical routine failed during a run."""

@@ -11,7 +11,7 @@ eigensolve path and the closed-form correlation expressions agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,13 +169,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     ev = hermitian_eigenvalues(rho.matrix)
     ev = np.clip(ev.real, 0.0, None)
     nz = ev[ev > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def entropy_of_probs(p: np.ndarray) -> float:
-    """Shannon entropy (bits) of a probability vector, 0*log0 := 0."""
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())
 
 

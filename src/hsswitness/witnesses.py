@@ -10,16 +10,14 @@ and an extrema report aligning HSS revivals with those of negativity/MID.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Scenario, bath_gamma, evolve, initial_mixed,
-                       initial_pure, mixed_coherence_factor)
-from .errors import InvalidParams
-from .hilbert import (DensityMatrix, PhiFamily, entropy_of_probs,
-                      hermitian_eigenvalues, partial_trace, partial_transpose,
-                      von_neumann_entropy)
+from .dynamics import Scenario, evolve, initial_mixed, initial_pure
+from .errors import InvalidParams, UnsupportedScenario
+from .hilbert import (DensityMatrix, PhiFamily, hermitian_eigenvalues,
+                      partial_trace, partial_transpose, von_neumann_entropy)
 
 EPS_CHI = 1e-8
 EPS_NEGATIVITY = 1e-6
@@ -229,19 +227,26 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
     """Evaluate HSS/chi (pure phase-encoded state) and negativity/MID.
 
     Negativity and MID are computed from the evolved mixed state when
-    ``mixed_p`` is given, otherwise from the pure state at phase ``phi``,
-    mirroring how the quantifiers are compared in practice.
+    ``mixed_p`` is given (qubit-qutrit layout only), otherwise from the pure
+    state at phase ``phi``, mirroring how the quantifiers are compared in
+    practice.  A single spin has no bipartition: under the trivial split
+    both are exactly 0.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
+    bipartite = len(scenario.layout.spins) == 2
+    if mixed_p is not None and scenario.layout.dims != (2, 3):
+        raise UnsupportedScenario("mixed_p needs the qubit-qutrit layout")
     pure0 = initial_pure(scenario.layout, phi)
     corr0 = initial_mixed(mixed_p) if mixed_p is not None else None
 
     hss_vals = np.empty(tau_grid.size)
-    neg_vals = np.empty(tau_grid.size)
-    mid_vals = np.empty(tau_grid.size)
+    neg_vals = np.zeros(tau_grid.size)
+    mid_vals = np.zeros(tau_grid.size)
     for k, tau in enumerate(tau_grid):
         fam = evolve(scenario, pure0, tau)
         hss_vals[k] = hss(fam)
+        if not bipartite:
+            continue
         state = (evolve(scenario, corr0, tau) if corr0 is not None
                  else fam.state_at(phi))
         neg_vals[k] = negativity(state)
@@ -288,13 +293,12 @@ def _local_extrema(values: np.ndarray, grid: np.ndarray) -> list[tuple[float, st
     return out
 
 
-def extrema_report(series: WitnessSeries, eps_N: float = EPS_NEGATIVITY,
-                   window: int = 2) -> ExtremaReport:
+def extrema_report(series: WitnessSeries,
+                   eps_N: float = EPS_NEGATIVITY) -> ExtremaReport:
     """Extrema of every series, alignment of HSS extrema, sudden-death spans.
 
     ``alignment`` maps each HSS extremum time to the grid distance (in tau)
-    of the nearest negativity and MID extremum; ``window`` is kept for
-    callers that want to threshold in grid steps.
+    of the nearest negativity and MID extremum.
     """
     grid = series.tau_grid
     ext = {name: _local_extrema(getattr(series, name), grid)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from hsswitness.decoherence import (OhmicSpectralDensity, RtnParams,
-                                    SqueezedBathParams, ThermalBathParams,
-                                    gamma_squeezed, gamma_thermal,
-                                    memoize_on_grid, rtn_dn,
-                                    rtn_dn_montecarlo)
+from hsswitness.decoherence import (OhmicSpectralDensity, SqueezedBathParams,
+                                    ThermalBathParams, gamma_squeezed,
+                                    gamma_thermal, rtn_dn, rtn_dn_montecarlo)
 from hsswitness.errors import InvalidParams
 
 
@@ -163,16 +161,3 @@ class TestRtnMonteCarlo:
     def test_trials_floor(self):
         with pytest.raises(InvalidParams):
             rtn_dn_montecarlo(1, 0.5, 1.0, 50, seed=0)
-
-
-class TestMemoize:
-    def test_interpolation(self):
-        grid = np.linspace(0, 3, 120)
-        params = SqueezedBathParams(SUPER, r=0.3)
-        fn = memoize_on_grid(lambda t: gamma_squeezed(t, params), grid)
-        for t in (0.33, 1.234, 2.9):
-            assert abs(fn(t) - gamma_squeezed(t, params)) < 1e-6
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(InvalidParams):
-            memoize_on_grid(lambda t: t, [0.0, 2.0, 1.0])

@@ -3,16 +3,18 @@ import pytest
 
 from hsswitness.decoherence import rtn_dn
 from hsswitness.dynamics import (QUBIT_QUTRIT, Scenario, SpinLayout,
-                                 bath_gamma, dephase_single, element_factor,
-                                 evolve, initial_mixed, initial_pure)
+                                 bath_gamma, element_factor, evolve,
+                                 initial_mixed, initial_pure,
+                                 mixed_coherence_factor)
 from hsswitness.errors import InvalidP, InvalidParams, UnsupportedScenario
 from hsswitness.hilbert import hermitian_eigenvalues, hs_distance
 from hsswitness.validation import (golden_mixed, golden_mixed_common,
                                    golden_pure_composite,
                                    golden_pure_rtn_common,
                                    golden_pure_rtn_independent,
-                                   golden_pure_squeezed, scenario_composite,
-                                   scenario_rtn, scenario_squeezed)
+                                   golden_pure_squeezed, qudit_scenario,
+                                   scenario_composite, scenario_rtn,
+                                   scenario_squeezed)
 
 
 class TestLayout:
@@ -71,21 +73,28 @@ class TestInitialStates:
 
 
 class TestDephaseSingle:
+    """A single spin-s qudit dephases as rho_nm -> rho_nm exp(-(n-m)^2 gamma)."""
+
     def test_identity_at_gamma_zero(self):
-        fam = initial_pure(SpinLayout((1.5,)), 0.7)
-        out = dephase_single(fam, 1.5, lambda t: 0.0, 1.0)
+        scen = qudit_scenario(1.5)
+        fam = initial_pure(scen.layout, 0.7)
+        assert bath_gamma(scen, 0.0) == 0.0
+        out = evolve(scen, fam, 0.0)
         assert np.allclose(out.base.matrix, fam.base.matrix)
 
     def test_spin_half_factor(self):
-        fam = initial_pure(SpinLayout((0.5,)), 0.0)
-        out = dephase_single(fam, 0.5, lambda t: 0.3, 1.0)
-        assert abs(out.base.matrix[0, 1] - 0.5 * np.exp(-0.3)) < 1e-14
+        scen, tau = qudit_scenario(0.5), 0.8
+        g = bath_gamma(scen, tau)
+        assert g > 0.01
+        out = evolve(scen, initial_pure(scen.layout, 0.0), tau)
+        assert abs(out.base.matrix[0, 1] - 0.5 * np.exp(-g)) < 1e-14
 
     def test_extreme_element_exponent(self):
         # (n - m) = 3 coherence of a spin-3/2 damps as e^{-9 gamma}
-        fam = initial_pure(SpinLayout((1.5,)), 0.0)
-        out = dephase_single(fam, 1.5, lambda t: 0.1, 1.0)
-        assert abs(out.base.matrix[0, 3] - 0.25 * np.exp(-0.9)) < 1e-14
+        scen, tau = qudit_scenario(1.5), 0.8
+        g = bath_gamma(scen, tau)
+        out = evolve(scen, initial_pure(scen.layout, 0.0), tau)
+        assert abs(out.base.matrix[0, 3] - 0.25 * np.exp(-9 * g)) < 1e-14
 
 
 class TestElementFactor:
@@ -146,14 +155,25 @@ class TestGoldenTables:
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.4])
     def test_mixed_all_scenarios(self, p, all_qubit_qutrit_scenarios):
-        from hsswitness.dynamics import mixed_coherence_factor
+        tau = 1.5
+        g = bath_gamma(scenario_squeezed(), tau)
+        factors = {
+            "squeezed": np.exp(-5 * g),
+            "rtn-independent": rtn_dn(2, 0.1, tau) ** 2,
+            "rtn-common": rtn_dn(4, 0.1, tau),
+            "composite": rtn_dn(2, 0.1, 100.0 * tau) * np.exp(-4 * g),
+        }
         for name, scen in all_qubit_qutrit_scenarios.items():
-            tau = 1.5
-            F = mixed_coherence_factor(scen, tau)
+            F = factors[name]
+            assert abs(mixed_coherence_factor(scen, tau) - F) < 1e-15
             expected = (golden_mixed_common(p, F) if name == "rtn-common"
                         else golden_mixed(p, F))
             got = evolve(scen, initial_mixed(p), tau)
             assert np.abs(got.matrix - expected).max() < 1e-12
+
+    def test_mixed_factor_needs_qubit_qutrit(self):
+        with pytest.raises(UnsupportedScenario):
+            mixed_coherence_factor(qudit_scenario(2.5), 1.0)
 
 
 class TestEvolutionProperties:

@@ -5,6 +5,7 @@ from hsswitness.decoherence import rtn_dn
 from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, evolve,
                                  initial_mixed, initial_pure,
                                  mixed_coherence_factor)
+from hsswitness.errors import UnsupportedScenario
 from hsswitness.hilbert import DensityMatrix
 from hsswitness.validation import (qudit_scenario, scenario_composite,
                                    scenario_rtn, scenario_squeezed)
@@ -107,6 +108,15 @@ class TestChi:
         grid = np.linspace(0, 30, 300)
         series = compute_series(scenario_rtn(0.1), grid)
         assert len(series.nonmarkov_intervals) >= 1
+
+
+class TestSeries:
+    @pytest.mark.parametrize("spin", [1.5, 2.5])
+    def test_mixed_p_needs_qubit_qutrit(self, spin):
+        # spin 2.5 has the mixed state's 6 levels but not its two subsystems
+        with pytest.raises(UnsupportedScenario):
+            compute_series(qudit_scenario(spin), np.linspace(0, 1, 16),
+                           mixed_p=0.3)
 
 
 class TestNegativity:

@@ -8,8 +8,8 @@ Subcommands
     digits) and ``<name>.svg`` next to each other.
 
 ``validate``
-    Golden-matrix, closed-form-equivalence and Monte-Carlo cross-check
-    suites; nonzero exit on any failure.
+    Golden-matrix, closed-form-equivalence, bath-quadrature and
+    Monte-Carlo cross-check suites; nonzero exit on any failure.
 
 ``oracle-dn --n N --q Q --tau T [--trials K] [--seed S]``
     Print the Monte-Carlo telegraph average against the closed form.
@@ -121,6 +121,9 @@ class RunConfig:
                 f"grid_points must be an integer in [16, {MAX_GRID_POINTS}]")
         if self.tau_max <= 0:
             raise ConfigInvalid("tau_max must be > 0")
+        if self.tau_max / (self.grid_points - 1) < sys.float_info.min:
+            raise ConfigInvalid("tau_max / (grid_points - 1) underflows: the "
+                                "grid step must be a normal float")
         if self.p is not None:
             if not 0.0 <= self.p <= 0.5:
                 raise ConfigInvalid("p must lie in [0, 1/2]")

@@ -1,15 +1,32 @@
-"""Environment response functions.
+"""Environment response functions, all in closed form.
 
-Three families of decoherence functions are evaluated here:
-
-* ``gamma_thermal`` -- the accumulated dephasing exponent of a spin coupled
-  to a thermal bosonic bath with an Ohmic-like spectral density, computed by
-  adaptive quadrature.
+* ``gamma_thermal`` -- the accumulated dephasing exponent
+  Gamma(t) = int J(w) coth(w / 2T) (1 - cos wt) / w^2 dw of a spin coupled
+  to a thermal bosonic bath with the Ohmic-family spectral density
+  J(w) = alpha w^s w_c^(1-s) e^(-w / w_c).
 * ``gamma_squeezed`` -- the same for a squeezed vacuum reservoir, whose
   integrand carries the squeezing bracket ``cosh 2r - sinh 2r cos(wt - theta)``.
 * ``rtn_dn`` -- the ensemble average ``<cos(n * theta(tau))>`` of the phase
   accumulated under random telegraph noise, in closed piecewise form, plus a
   seeded Monte-Carlo trajectory oracle ``rtn_dn_montecarlo``.
+
+Both bath integrals reduce to one kernel (Gradshteyn-Ryzhik 3.944), with
+mu = s - 1 and b > 0:
+
+    I_mu(b) = int w^(mu-1) e^(-bw) (1 - cos wt) dw
+            = Gamma(mu) [b^-mu - Re (b - it)^-mu]
+            = Gamma(s) b^-mu Re E(-mu, log(1 - it/b)),  E(nu, L) = expm1(nu L) / nu.
+
+The expm1 form keeps small t free of cancellation, and E(0, L) = L gives
+the s = 1 logarithm.  At T = 0, Gamma = alpha w_c^(1-s) I_mu(1/w_c); the
+squeezing bracket adds the phase-shifted harmonics at wt and 2wt.  At
+T > 0, coth(w / 2T) = 1 + 2 sum_n e^(-nw/T) turns Gamma into a sum of
+kernels at b = 1/w_c + n/T, summed to n = 32 and closed by Euler-Maclaurin.
+The panel quadrature of the same integrals is kept in ``validation`` as an
+independent oracle.  Rounding stays near 1e-15 relative for s >= 0.3; it
+grows like 1/s as s -> 0, and under squeezing with theta != 0 like
+1e-15 / (w_c t) at small t, where the harmonics at wt and 2wt cancel to
+first order.
 
 Units: hbar = k_B = 1, frequencies in units of the system splitting omega_0.
 RTN times are the scaled tau = nu * t.
@@ -17,6 +34,7 @@ RTN times are the scaled tau = nu * t.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -24,17 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, QuadratureNonConvergent
+from .errors import InvalidParams
 
-#: truncation of the frequency integrals, in units of the cutoff omega_c
-OMEGA_MAX_CUTOFFS = 50.0
-#: required bound on the integrand at the truncation point
-TAIL_BOUND = 1e-14
 #: |q - n| below which the degenerate closed form of D_n is used
 RTN_SEAM = 1e-6
-
-QUAD_EPSREL = 1e-8
-QUAD_EPSABS = 1e-14
+#: coth-series terms of the thermal bath summed before the Euler-Maclaurin tail
+THERMAL_TERMS = 32
 
 
 @dataclass(frozen=True)
@@ -97,118 +110,96 @@ class RtnParams:
         return self.gamma_rate / self.nu
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+def _log1m_i(u):
+    """log(1 - iu) for real u >= 0: accurate for small u, finite for huge u."""
+    v, w = np.minimum(u, 1.0), np.maximum(u, 1.0)
+    modulus = np.where(u <= 1.0, 0.5 * np.log1p(v * v),
+                       np.log(w) + 0.5 * np.log1p((1.0 / w) ** 2))
+    return modulus - 1j * np.arctan(u)
 
 
-def _edges(omega_max: float, t: float, omega_c: float, refine: int) -> np.ndarray:
-    """Panel edges over (0, omega_max]: one panel per oscillation period,
-    at least 8 per cutoff scale, geometrically graded towards omega = 0 so
-    that integrable endpoint singularities (sub-Ohmic, T > 0) are resolved.
+def _expm1_ratio(nu: float, L):
+    """expm1(nu L) / nu for real nu and complex L, exactly L at nu = 0."""
+    if nu == 0.0:
+        return L
+    x, y = nu * L.real, nu * L.imag
+    return (np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2
+            + 1j * np.exp(x) * np.sin(y)) / nu
+
+
+def _kernel_sum(s: float, k: float, x):
+    """sum_{n>=1} rho_n^(1-s) Re E(1-s, log(1 - i x / rho_n)), rho_n = 1 + n k.
+
+    With k = omega_c / T this is the coth series of the thermal bath in
+    units of Gamma(s).  THERMAL_TERMS terms are summed; the rest is closed
+    by Euler-Maclaurin from n = N: the integral, f(N)/2 and the B_2, B_4,
+    B_6 terms.  Each is a kernel of a neighbouring order, because
+    d/db I_mu = -I_(mu+1) and int_b^inf I_mu = I_(mu-1).
     """
-    n = max(64, int(omega_max * t / math.pi) + 1,
-            int(8 * omega_max / omega_c)) * refine
-    if n > 400_000:
-        raise QuadratureNonConvergent(f"panel count {n} too large")
-    edges = np.linspace(0.0, omega_max, n + 1)
-    first = edges[1]
-    graded = first * 0.5 ** np.arange(40 * refine, 0, -1)
-    return np.concatenate(([0.0], graded, edges[1:]))
+    n = np.arange(1, THERMAL_TERMS + 1)
+    rho = 1.0 + n * k
+    head = (rho ** (1.0 - s)
+            * _expm1_ratio(1.0 - s, _log1m_i(x[..., None] / rho)).real).sum(-1)
+    rho_n = 1.0 + (THERMAL_TERMS + 1) * k
+    ic = k / rho_n  # 1 / (T b_N)
+    u = x / rho_n
+    L = _log1m_i(u)
+    e0 = _expm1_ratio(1.0 - s, L)
+    p3 = s * (s + 1.0) * (s + 2.0)
+    p5 = p3 * (s + 3.0) * (s + 4.0)
+    tail = ((_expm1_ratio(2.0 - s, L).real - e0.real - u * e0.imag) / ic
+            + 0.5 * e0.real
+            + s * ic / 12.0 * _expm1_ratio(-s, L).real
+            - p3 * ic**3 / 720.0 * _expm1_ratio(-2.0 - s, L).real
+            + p5 * ic**5 / 30240.0 * _expm1_ratio(-4.0 - s, L).real)
+    return head + rho_n ** (1.0 - s) * tail
 
 
-def _panel_sum(f_vec, edges: np.ndarray) -> float:
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    # nodes: (panels, 16), all strictly inside (0, omega_max)
-    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f_vec(x)
-    return float((half[:, None] * _GL_WEIGHTS[None, :] * vals).sum())
-
-
-def _integrate(f_vec, t: float, omega_c: float, tail_probe) -> float:
-    """Composite Gauss-Legendre quadrature of f over (0, Omega_max].
-
-    The panel layout resolves the cos(omega t) oscillation; convergence is
-    checked by doubling the panel count until successive values agree to
-    QUAD_EPSREL (relative) or QUAD_EPSABS (absolute).
-    """
-    omega_max = OMEGA_MAX_CUTOFFS * omega_c
-    # exponential cutoff: extend if the probe bound is not yet tiny
-    for _ in range(4):
-        if tail_probe(omega_max) < TAIL_BOUND:
-            break
-        omega_max *= 2.0
-    else:
-        raise QuadratureNonConvergent(
-            f"integrand tail still above {TAIL_BOUND:g} at omega={omega_max:g}")
-    prev = _panel_sum(f_vec, _edges(omega_max, t, omega_c, 1))
-    for refine in (2, 4, 8):
-        cur = _panel_sum(f_vec, _edges(omega_max, t, omega_c, refine))
-        if abs(cur - prev) <= max(QUAD_EPSABS, QUAD_EPSREL * abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureNonConvergent(
-        f"no convergence to rel {QUAD_EPSREL:g} after max refinement")
-
-
-def gamma_thermal(t: float, params: ThermalBathParams) -> float:
-    """Thermal-bath decoherence exponent at time t (>= 0).
-
-    Integrates J(w) * coth(w / 2T) * (1 - cos(w t)) / w^2 over w > 0.
-    T = 0 is allowed (coth -> 1).
-    """
-    if t < 0:
+def _times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise InvalidParams("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    J = params.spectral
-    T = params.temperature
-
-    def coth_half(omega):
-        if T == 0.0:
-            return 1.0
-        x = np.minimum(omega / (2.0 * T), 30.0)
-        return 1.0 / np.tanh(x)
-
-    def J_vec(omega):
-        return (J.alpha * omega**J.s_ohmic / J.omega_c ** (J.s_ohmic - 1.0)
-                * np.exp(-omega / J.omega_c))
-
-    def f(omega):
-        return J_vec(omega) * coth_half(omega) * (1.0 - np.cos(omega * t)) / omega**2
-
-    def tail(omega):
-        return float(J_vec(omega) * coth_half(omega) * 2.0 / omega**2)
-
-    return _integrate(f, t, J.omega_c, tail)
+    return t
 
 
-def gamma_squeezed(t: float, params: SqueezedBathParams) -> float:
-    """Squeezed-reservoir decoherence exponent at time t (>= 0).
+def gamma_thermal(t, params: ThermalBathParams) -> float | np.ndarray:
+    """Thermal-bath decoherence exponent at time(s) t >= 0.
 
-    Integrates J(w) * (1 - cos(w t)) / w^2
-    * [cosh(2r) - sinh(2r) * cos(w t - theta)].  r = 0 reduces to the
-    zero-temperature thermal case.
+    Gamma = int J(w) coth(w / 2T) (1 - cos wt) / w^2 dw in closed form:
+    alpha Gamma(s) Re E(1-s, log(1 - i w_c t)) at T = 0, plus twice the
+    coth series ``_kernel_sum`` at T > 0.  A float for scalar t, else an
+    array of t's shape.
     """
-    if t < 0:
-        raise InvalidParams("t must be >= 0")
-    if t == 0.0:
-        return 0.0
+    t = _times(t)
+    J, T = params.spectral, params.temperature
+    s, x = J.s_ohmic, t * J.omega_c
+    total = _expm1_ratio(1.0 - s, _log1m_i(x)).real
+    # the thermal terms scale like (T / w_c)^(s+1): below T = 1e-200 w_c
+    # they vanish in double precision
+    if T > 0.0 and J.omega_c / T < 1e200:
+        total = total + 2.0 * _kernel_sum(s, J.omega_c / T, x)
+    out = J.alpha * math.gamma(s) * total
+    return float(out) if t.ndim == 0 else out
+
+
+def gamma_squeezed(t, params: SqueezedBathParams) -> float | np.ndarray:
+    """Squeezed-reservoir decoherence exponent at time(s) t >= 0.
+
+    The squeezing bracket times (1 - cos wt) is
+    cosh 2r (1 - cos wt) + sinh 2r [cos theta - cos(wt - theta)]
+    - (sinh 2r / 2) [cos theta - cos(2wt - theta)], and each bracket is a
+    phase-shifted kernel.  r = 0 gives the zero-temperature thermal value
+    bit for bit.  A float for scalar t, else an array of t's shape.
+    """
+    t = _times(t)
     J = params.spectral
+    s, x = J.s_ohmic, t * J.omega_c
     ch, sh = math.cosh(2.0 * params.r), math.sinh(2.0 * params.r)
-    th = params.theta
-
-    def J_vec(omega):
-        return (J.alpha * omega**J.s_ohmic / J.omega_c ** (J.s_ohmic - 1.0)
-                * np.exp(-omega / J.omega_c))
-
-    def f(omega):
-        bracket = ch - sh * np.cos(omega * t - th)
-        return J_vec(omega) * (1.0 - np.cos(omega * t)) / omega**2 * bracket
-
-    def tail(omega):
-        return float(J_vec(omega) * 2.0 * (ch + sh) / omega**2)
-
-    return _integrate(f, t, J.omega_c, tail)
+    tilt = sh * cmath.exp(-1j * params.theta)
+    e1 = _expm1_ratio(1.0 - s, _log1m_i(x))
+    e2 = _expm1_ratio(1.0 - s, _log1m_i(2.0 * x))
+    out = J.alpha * math.gamma(s) * ((ch + tilt) * e1 - 0.5 * tilt * e2).real
+    return float(out) if t.ndim == 0 else out
 
 
 def rtn_dn(n: int, q: float, tau: float) -> float:
@@ -228,7 +219,7 @@ def rtn_dn(n: int, q: float, tau: float) -> float:
     if q > n:
         xi = math.sqrt(q * q - n * n)
         # rewrite e^{-q tau} cosh/sinh in stable exponential form
-        ep = math.exp((xi - q) * tau)
+        ep = math.exp(-n * n / (xi + q) * tau)  # xi - q without cancellation
         em = math.exp((-xi - q) * tau)
         return 0.5 * (ep + em) + (q / xi) * 0.5 * (ep - em)
     xi = math.sqrt(n * n - q * q)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -148,19 +147,14 @@ class Scenario:
         return self.environment.topology
 
 
-@lru_cache(maxsize=None)
-def _gamma_cached(bath, t: float) -> float:
-    if isinstance(bath, ThermalBathParams):
-        return gamma_thermal(t, bath)
-    return gamma_squeezed(t, bath)
-
-
 def bath_gamma(scenario: Scenario, tau: float) -> float:
     """Quantum-bath decoherence exponent of the scenario at scaled time tau."""
     bath = scenario.environment.bath
     if bath is None:
         raise UnsupportedScenario("scenario has no quantum bath")
-    return _gamma_cached(bath, tau)
+    if isinstance(bath, ThermalBathParams):
+        return gamma_thermal(tau, bath)
+    return gamma_squeezed(tau, bath)
 
 
 def rtn_tau(scenario: Scenario, tau: float) -> float:
@@ -212,14 +206,19 @@ def initial_mixed(p: float) -> DensityMatrix:
 # --- dephasing factors -------------------------------------------------------
 
 def element_factor(scenario: Scenario, nA: float, mA: float,
-                   nB: float, mB: float, tau: float) -> float:
-    """Damping factor of the (nA nB, mA mB) matrix element at time tau."""
+                   nB: float, mB: float, tau: float,
+                   gamma: float | None = None) -> float:
+    """Damping factor of the (nA nB, mA mB) matrix element at time tau.
+
+    ``gamma`` is the bath exponent at tau, when the caller has it already.
+    """
     dA = nA - mA
     dB = nB - mB
     env = scenario.environment
+    if env.bath is not None and gamma is None:
+        gamma = bath_gamma(scenario, tau)
     if isinstance(env, (ThermalOhmic, SqueezedVacuum)):
-        g = bath_gamma(scenario, tau)
-        return float(np.exp(-(dA**2 + dB**2) * g))
+        return float(np.exp(-(dA**2 + dB**2) * gamma))
     q = env.rtn.q
     kA = abs(int(round(2 * dA)))
     kB = abs(int(round(dB)))
@@ -230,18 +229,21 @@ def element_factor(scenario: Scenario, nA: float, mA: float,
         k = abs(int(round(2 * dA + dB)))
         return _dn(q, k, rtn_tau(scenario, tau))
     if isinstance(env, CompositeRtnSqueezed):
-        g = bath_gamma(scenario, tau)
-        return _dn(q, kA, rtn_tau(scenario, tau)) * float(np.exp(-dB**2 * g))
+        return _dn(q, kA, rtn_tau(scenario, tau)) * float(np.exp(-dB**2 * gamma))
     raise UnsupportedScenario(type(env).__name__)
 
 
 def factor_matrix(scenario: Scenario, tau: float) -> np.ndarray:
-    """Entrywise damping factors for the scenario at time tau."""
+    """Entrywise damping factors for the scenario at time tau.
+
+    The bath exponent, if the scenario has a bath, is evaluated once here.
+    """
     layout = scenario.layout
+    g = None if scenario.environment.bath is None else bath_gamma(scenario, tau)
     if len(layout.spins) == 1:
         labels = layout.z_labels(0)
         dn = labels[:, None] - labels[None, :]
-        return np.exp(-dn**2 * bath_gamma(scenario, tau))
+        return np.exp(-dn**2 * g)
     a = layout.z_labels(0)
     b = layout.z_labels(1)
     dA, dB = layout.dims
@@ -250,7 +252,7 @@ def factor_matrix(scenario: Scenario, tau: float) -> np.ndarray:
         iA, iB = divmod(i, dB)
         for j in range(i, dA * dB):
             jA, jB = divmod(j, dB)
-            f = element_factor(scenario, a[iA], a[jA], b[iB], b[jB], tau)
+            f = element_factor(scenario, a[iA], a[jA], b[iB], b[jB], tau, g)
             out[i, j] = out[j, i] = f
     return out
 

@@ -25,10 +25,6 @@ class InvalidP(InvalidParams):
     """Mixing parameter p outside [0, 1/2]."""
 
 
-class QuadratureNonConvergent(HsswitnessError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class UnsupportedScenario(HsswitnessError):
     """Scenario combination not covered by the implemented noise models."""
 

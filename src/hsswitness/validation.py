@@ -6,20 +6,28 @@ the computational basis {|00>, |01>, |02>, |10>, |11>, |12>} (and |s>, ...,
 entrywise evolution engine: the engine is required to reproduce them
 exactly, never the other way around.
 
-``run_validation`` bundles the golden-matrix, closed-form-equivalence and
-Monte-Carlo-vs-analytic checks behind one pass/fail report for the CLI.
+The panel quadrature of the bath exponents is the oracle of their closed
+forms in ``decoherence``.
+
+``run_validation`` bundles the golden-matrix, closed-form-equivalence,
+bath-quadrature and Monte-Carlo-vs-analytic checks behind one pass/fail
+report for the CLI.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
+                          ThermalBathParams, gamma_squeezed, gamma_thermal,
                           rtn_dn, rtn_dn_montecarlo)
 from .dynamics import (QUBIT_QUTRIT, CompositeRtnSqueezed, RtnCommon,
                        RtnIndependent, Scenario, SpinLayout, SqueezedVacuum,
                        bath_gamma, evolve, initial_mixed, initial_pure,
                        mixed_coherence_factor)
+from .errors import HsswitnessError, InvalidParams
 from .witnesses import (hss, hss_finite_difference, mid, mid_closed,
                         negativity, negativity_closed)
 
@@ -128,6 +136,131 @@ def golden_mixed_partial_transpose(p: float, F: float) -> np.ndarray:
     m[0, 5] = m[5, 0] = (1.0 - 2.0 * p) / 2.0 * F
     m[2, 3] = m[3, 2] = p / 2.0 * F
     return m
+
+
+# --- quadrature oracle of the bath exponents ---------------------------------
+
+#: truncation of the frequency integrals, in units of the cutoff omega_c
+OMEGA_MAX_CUTOFFS = 50.0
+#: required bound on the integrand at the truncation point
+TAIL_BOUND = 1e-14
+QUAD_EPSREL = 1e-8
+QUAD_EPSABS = 1e-14
+
+
+class QuadratureNonConvergent(HsswitnessError):
+    """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _edges(omega_max: float, t: float, omega_c: float, refine: int) -> np.ndarray:
+    """Panel edges over (0, omega_max]: one panel per oscillation period,
+    at least 8 per cutoff scale, geometrically graded towards omega = 0 so
+    that integrable endpoint singularities (sub-Ohmic, T > 0) are resolved.
+    """
+    n = max(64, int(omega_max * t / math.pi) + 1,
+            int(8 * omega_max / omega_c)) * refine
+    if n > 400_000:
+        raise QuadratureNonConvergent(f"panel count {n} too large")
+    edges = np.linspace(0.0, omega_max, n + 1)
+    first = edges[1]
+    graded = first * 0.5 ** np.arange(40 * refine, 0, -1)
+    return np.concatenate(([0.0], graded, edges[1:]))
+
+
+def _panel_sum(f_vec, edges: np.ndarray) -> float:
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    # nodes: (panels, 16), all strictly inside (0, omega_max)
+    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    vals = f_vec(x)
+    return float((half[:, None] * _GL_WEIGHTS[None, :] * vals).sum())
+
+
+def _integrate(f_vec, t: float, omega_c: float, tail_probe) -> float:
+    """Composite Gauss-Legendre quadrature of f over (0, Omega_max].
+
+    The panel layout resolves the cos(omega t) oscillation; convergence is
+    checked by doubling the panel count until successive values agree to
+    QUAD_EPSREL (relative) or QUAD_EPSABS (absolute).
+    """
+    omega_max = OMEGA_MAX_CUTOFFS * omega_c
+    # exponential cutoff: extend if the probe bound is not yet tiny
+    for _ in range(4):
+        if tail_probe(omega_max) < TAIL_BOUND:
+            break
+        omega_max *= 2.0
+    else:
+        raise QuadratureNonConvergent(
+            f"integrand tail still above {TAIL_BOUND:g} at omega={omega_max:g}")
+    prev = _panel_sum(f_vec, _edges(omega_max, t, omega_c, 1))
+    for refine in (2, 4, 8):
+        cur = _panel_sum(f_vec, _edges(omega_max, t, omega_c, refine))
+        if abs(cur - prev) <= max(QUAD_EPSABS, QUAD_EPSREL * abs(cur)):
+            return cur
+        prev = cur
+    raise QuadratureNonConvergent(
+        f"no convergence to rel {QUAD_EPSREL:g} after max refinement")
+
+
+def _spectral_vec(J: OhmicSpectralDensity):
+    def J_vec(omega):
+        return (J.alpha * omega**J.s_ohmic / J.omega_c ** (J.s_ohmic - 1.0)
+                * np.exp(-omega / J.omega_c))
+    return J_vec
+
+
+def gamma_thermal_quadrature(t: float, params: ThermalBathParams) -> float:
+    """Quadrature of J(w) coth(w / 2T) 2 sin^2(wt / 2) / w^2 over w > 0.
+
+    2 sin^2(wt / 2) stands for 1 - cos wt, which rounds to 0 for
+    wt < 1e-8 and so drops the sub-Ohmic T > 0 integrand near w = 0.
+    """
+    if t < 0:
+        raise InvalidParams("t must be >= 0")
+    if t == 0.0:
+        return 0.0
+    J = params.spectral
+    T = params.temperature
+    J_vec = _spectral_vec(J)
+
+    def coth_half(omega):
+        if T == 0.0:
+            return 1.0
+        # clip before dividing, so that a subnormal T does not overflow
+        return 1.0 / np.tanh(np.minimum(omega, 60.0 * T) / (2.0 * T))
+
+    def f(omega):
+        return (J_vec(omega) * coth_half(omega)
+                * 2.0 * np.sin(0.5 * omega * t) ** 2 / omega**2)
+
+    def tail(omega):
+        return float(J_vec(omega) * coth_half(omega) * 2.0 / omega**2)
+
+    return _integrate(f, t, J.omega_c, tail)
+
+
+def gamma_squeezed_quadrature(t: float, params: SqueezedBathParams) -> float:
+    """Quadrature of J(w) 2 sin^2(wt / 2) / w^2 [cosh 2r - sinh 2r cos(wt - theta)]."""
+    if t < 0:
+        raise InvalidParams("t must be >= 0")
+    if t == 0.0:
+        return 0.0
+    J = params.spectral
+    ch, sh = math.cosh(2.0 * params.r), math.sinh(2.0 * params.r)
+    th = params.theta
+    J_vec = _spectral_vec(J)
+
+    def f(omega):
+        bracket = ch - sh * np.cos(omega * t - th)
+        return J_vec(omega) * 2.0 * np.sin(0.5 * omega * t) ** 2 / omega**2 * bracket
+
+    def tail(omega):
+        return float(J_vec(omega) * 2.0 * (ch + sh) / omega**2)
+
+    return _integrate(f, t, J.omega_c, tail)
 
 
 # --- standard parameter sets ---------------------------------------------------
@@ -241,6 +374,32 @@ def check_closed_forms(p_values=(0.0, 0.1, 0.3, 0.4), n_times: int = 40,
     return out
 
 
+def check_gamma_closed_forms() -> float:
+    """Max relative deviation of the closed-form bath exponents from quadrature.
+
+    Twelve baths with alpha = 0.1 and omega_c = 20, sub- to super-Ohmic,
+    at tau <= 3: thermal (s, T, tau) and squeezed (s, r, theta, tau).
+    """
+    def spectral(s):
+        return OhmicSpectralDensity(alpha=0.1, s_ohmic=s, omega_c=20.0)
+
+    cases = [(gamma_thermal, gamma_thermal_quadrature,
+              ThermalBathParams(spectral(s), temperature=T), tau)
+             for s, T, tau in ((0.5, 0.5, 3.0), (1.0, 2.0, 0.3), (2.0, 0.0, 1.0),
+                               (3.0, 1.0, 3.0), (3.0, 5.0, 0.05), (1.5, 0.05, 2.0))]
+    cases += [(gamma_squeezed, gamma_squeezed_quadrature,
+               SqueezedBathParams(spectral(s), r=r, theta=theta), tau)
+              for s, r, theta, tau in ((3.0, 0.3, 0.0, 1.0), (3.0, 1.0, 2.0, 3.0),
+                                       (0.5, 0.5, 0.8, 0.7),
+                                       (1.0, 0.3, math.pi / 2, 2.0),
+                                       (2.0, 1.5, 1.0, 0.1), (4.0, 0.0, 0.0, 3.0))]
+    worst = 0.0
+    for closed, oracle, bath, tau in cases:
+        want = oracle(tau, bath)
+        worst = max(worst, abs(closed(tau, bath) - want) / abs(want))
+    return worst
+
+
 def check_montecarlo(trials: int = 100_000, seed: int = 11,
                      ) -> list[tuple[str, float, float]]:
     """(|mc - closed| in stderr units, absolute error) at sampled (n, q, tau)."""
@@ -273,6 +432,11 @@ def run_validation(trials: int = 100_000, seed: int = 11, stream=None) -> bool:
         ok &= passed
         stream.write(f"[{'PASS' if passed else 'FAIL'}] {name}: "
                      f"max deviation {dev:.2e}\n")
+    dev = check_gamma_closed_forms()
+    passed = dev <= QUAD_EPSREL
+    ok &= passed
+    stream.write(f"[{'PASS' if passed else 'FAIL'}] gamma-closed/quadrature: "
+                 f"max rel deviation {dev:.2e} (tol {QUAD_EPSREL:g})\n")
     for name, sigmas, err in check_montecarlo(trials=trials, seed=seed):
         passed = sigmas <= 3.0 and err <= 5e-3
         ok &= passed

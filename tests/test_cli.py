@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hsswitness
+from hsswitness import validation
 from hsswitness.cli import (KINDS, PRESETS, load_config, main, run_config,
                             series_to_csv)
 from hsswitness.dynamics import bath_gamma
@@ -158,11 +159,13 @@ class TestRun:
         tiny_config(p=0.7),
         tiny_config(outputs="csv"),
         tiny_config(scenario="rtn_independent"),
+        tiny_config(scenario={"kind": "rtn_common"}, tau_max=1e-320),
     ], ids=["array", "string-q", "string-nan", "nan", "bool", "float-grid",
             "string-grid", "unknown-scenario-key", "unknown-top-key",
             "negative-alpha", "p-with-spin", "p-with-six-level-spin",
             "huge-spin", "negative-nu-ratio", "p-out-of-range",
-            "outputs-not-list", "scenario-not-object"])
+            "outputs-not-list", "scenario-not-object",
+            "underflowing-grid-step"])
     def test_invalid_config_exit_code_2(self, tmp_path, raw):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
@@ -218,12 +221,55 @@ def _numerical_failure(scenario, tau_max=1.0):
 @given(raw=_configs() | _json_values())
 @example(raw=_numerical_failure({"kind": "squeezed", "r": 400}))
 @example(raw=_numerical_failure({"kind": "rtn_common", "q": 1e300}))
-@example(raw=_numerical_failure({"kind": "rtn_common"}, tau_max=1e-320))
 def test_any_json_config_exits_0_2_or_3(tmp_path_factory, raw):
     out = tmp_path_factory.mktemp("anyjson")
     path = out / "any.json"
     path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path), "--out-dir", str(out)]) in (0, 2, 3)
+
+
+def test_underflowing_grid_step_warns_nothing(tmp_path, recwarn, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(tiny_config(tau_max=1e-320)))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+def test_huge_squeezing_is_a_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "r400.json"
+    path.write_text(json.dumps(_numerical_failure({"kind": "squeezed", "r": 400})))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) in (2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_long_squeezed_run(tmp_path):
+    # tau up to 1e4 once needed more quadrature panels than allowed (exit 3)
+    raw = {"scenario": {"kind": "squeezed"}, "tau_max": 1e4, "grid_points": 32}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "long.csv").exists()
+
+
+@pytest.mark.parametrize("kind,q", [("rtn_independent", 5e6),
+                                    ("rtn_common", 1e8)])
+def test_fast_telegraph_noise_run(tmp_path, kind, q):
+    # xi - q once cancelled at q >> n, and the state went non-positive
+    raw = {"scenario": {"kind": kind, "q": q}, "tau_max": 30.0,
+           "grid_points": 600}
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+
+
+def test_validate_reports_gamma_margin(capsys):
+    validation.run_validation(trials=1000)
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if "gamma-closed/quadrature" in ln]
+    assert len(lines) == 1
+    assert lines[0].startswith("[PASS] gamma-closed/quadrature: max rel deviation")
+    assert lines[0].endswith("(tol 1e-08)")
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsswitness.decoherence import (OhmicSpectralDensity, SqueezedBathParams,
                                     ThermalBathParams, gamma_squeezed,
                                     gamma_thermal, rtn_dn, rtn_dn_montecarlo)
 from hsswitness.errors import InvalidParams
+from hsswitness.validation import (QUAD_EPSREL, gamma_squeezed_quadrature,
+                                   gamma_thermal_quadrature)
 
 
 def trapezoid_oracle_thermal(t, spectral, T, nodes=10**6, omega_max=1000.0):
@@ -95,6 +101,105 @@ class TestGammaSqueezed:
             gamma_squeezed(-1.0, SqueezedBathParams(SUPER))
 
 
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def _thermal(s, T, alpha=0.1, omega_c=20.0):
+    return ThermalBathParams(OhmicSpectralDensity(alpha, s, omega_c), T)
+
+
+def _squeezed(s, r, theta, alpha=0.1, omega_c=20.0):
+    return SqueezedBathParams(OhmicSpectralDensity(alpha, s, omega_c), r, theta)
+
+
+class TestGammaClosedFormEdges:
+    """The closed forms at their edges, against mpmath literals or the oracle.
+
+    Literals marked mpmath were computed with mpmath at 30 digits, from
+    Gamma(mu) [b^-mu - Re (b - it)^-mu] (GR 3.944) and, at T > 0, its coth
+    series summed to n = 3000 with an Euler-Maclaurin tail.
+    """
+
+    def test_sub_ohmic_finite_temperature(self):
+        # mpmath (30 digits): 4.33671994804027957 at alpha 0.1, s 0.5,
+        # omega_c 20, T 0.5, tau 3
+        want = 4.33671994804029
+        params = _thermal(0.5, 0.5)
+        assert _rel(gamma_thermal(3.0, params), want) < 1e-12
+        assert _rel(gamma_thermal_quadrature(3.0, params), want) < 1e-9
+
+    @pytest.mark.parametrize("s_log", [1.0, 2.0])
+    def test_log_limits_continuous(self, s_log):
+        for tau in (1e-3, 0.3, 3.0, 30.0):
+            cases = [lambda s: gamma_squeezed(tau, _squeezed(s, 0.5, 1.0))]
+            cases += [lambda s, T=T: gamma_thermal(tau, _thermal(s, T))
+                      for T in (0.0, 0.5, 5.0)]
+            for gamma_of in cases:
+                at = gamma_of(s_log)
+                assert math.isfinite(at) and at > 0
+                for s in (s_log - 1e-9, s_log + 1e-9):
+                    assert _rel(gamma_of(s), at) < 1e-7
+
+    @pytest.mark.parametrize("gamma_of,want,tol", [
+        # mpmath literals at alpha 0.1, s 3, omega_c 20, tau 1e-6
+        (lambda t: gamma_thermal(t, _thermal(3.0, 0.0)),
+         1.1999999992000000004e-10, 1e-13),
+        (lambda t: gamma_thermal(t, _thermal(3.0, 1.0)),
+         1.2000134700057829696e-10, 1e-13),
+        (lambda t: gamma_squeezed(t, _squeezed(3.0, 0.3, 0.0)),
+         6.5857396592971959628e-11, 1e-13),
+        # theta != 0: the harmonics at wt and 2wt cancel to first order in
+        # t, so rounding grows like 1 / (omega_c t); 4e-13 here
+        (lambda t: gamma_squeezed(t, _squeezed(3.0, 0.5, 0.8)),
+         8.6909116577337320263e-11, 1e-11),
+    ], ids=["thermal-T0", "thermal-T1", "squeezed", "squeezed-theta"])
+    def test_small_tau(self, gamma_of, want, tol):
+        assert _rel(gamma_of(1e-6), want) < tol
+
+    def test_cold_limit(self):
+        for tau in (0.1, 1.0, 3.0):
+            assert _rel(gamma_thermal(tau, _thermal(3.0, 1e-3)),
+                        gamma_thermal(tau, _thermal(3.0, 0.0))) < 1e-12
+
+    def test_hot_bath_against_oracle(self):
+        params = _thermal(3.0, 50.0)
+        for tau in (0.05, 3.0, 30.0):
+            assert _rel(gamma_thermal(tau, params),
+                        gamma_thermal_quadrature(tau, params)) < QUAD_EPSREL
+        # mpmath (30 digits): 0.51280834788954710791 at tau 3
+        assert _rel(gamma_thermal(3.0, params), 0.51280834788954710791) < 1e-13
+
+    def test_unsqueezed_equals_zero_temperature(self):
+        for s in (0.5, 1.0, 3.0):
+            for tau in (1e-3, 0.7, 30.0):
+                assert _rel(gamma_squeezed(tau, _squeezed(s, 0.0, 1.3)),
+                            gamma_thermal(tau, _thermal(s, 0.0))) < 1e-13
+
+    def test_array_times(self):
+        taus = np.linspace(0.0, 30.0, 7)
+        for params, gamma in ((_thermal(2.5, 0.7), gamma_thermal),
+                              (_squeezed(0.8, 0.4, 2.0), gamma_squeezed)):
+            got = gamma(taus, params)
+            assert got.shape == taus.shape
+            # the coth series may be summed in another order: a few ulps
+            assert np.allclose(got, [gamma(t, params) for t in taus],
+                               rtol=1e-15, atol=0.0)
+            assert isinstance(gamma(1.0, params), float)
+
+    @settings(max_examples=25, deadline=None)
+    @given(s=st.floats(0.3, 4.0), T=st.floats(0.0, 10.0),
+           r=st.floats(0.0, 1.5), theta=st.floats(0.0, 2 * math.pi),
+           tau=st.floats(1e-3, 50.0))
+    def test_against_quadrature_oracle(self, s, T, r, theta, tau):
+        thermal = _thermal(s, T)
+        assert _rel(gamma_thermal(tau, thermal),
+                    gamma_thermal_quadrature(tau, thermal)) < QUAD_EPSREL
+        squeezed = _squeezed(s, r, theta)
+        assert _rel(gamma_squeezed(tau, squeezed),
+                    gamma_squeezed_quadrature(tau, squeezed)) < QUAD_EPSREL
+
+
 class TestRtnClosedForm:
     @pytest.mark.parametrize("n,q", [(1, 0.1), (2, 1.0), (3, 10.0), (4, 0.5)])
     def test_unity_at_zero(self, n, q):
@@ -114,6 +219,13 @@ class TestRtnClosedForm:
                 lo = rtn_dn(n, n - 1.0000001e-6, tau)
                 hi = rtn_dn(n, n + 1.0000001e-6, tau)
                 assert abs(lo - hi) < 1e-6
+
+    @pytest.mark.parametrize("n,want", [
+        # mpmath (30 digits) of e^(-q tau) [cosh xi tau + (q / xi) sinh xi tau]
+        (1, 0.99999995000000375), (2, 0.99999980000002999999)],
+        ids=["n1", "n2"])
+    def test_fast_noise(self, n, want):
+        assert _rel(rtn_dn(n, 1e7, 1.0), want) < 1e-14
 
     def test_bounded(self):
         qs = [0.0, 0.05, 0.5, 0.999, 1.0, 2.0, 10.0, 100.0]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hsswitness.decoherence import rtn_dn
+from hsswitness import dynamics
+from hsswitness.decoherence import gamma_squeezed, rtn_dn
 from hsswitness.dynamics import (QUBIT_QUTRIT, Scenario, SpinLayout,
                                  bath_gamma, element_factor, evolve,
                                  initial_mixed, initial_pure,
@@ -113,6 +114,35 @@ class TestElementFactor:
         # |00><11|: qubit sees D_2, qutrit sees D_1
         got = element_factor(scen, 0.5, -0.5, 1.0, 0.0, tau)
         assert abs(got - rtn_dn(2, 0.1, tau) * rtn_dn(1, 0.1, tau)) < 1e-14
+
+
+class TestBathGammaOncePerState:
+    """factor_matrix evaluates the bath exponent once, not once per element."""
+
+    @pytest.mark.parametrize("make", [scenario_squeezed,
+                                      lambda: scenario_composite(0.1),
+                                      lambda: qudit_scenario(1.5)],
+                             ids=["squeezed", "composite", "spin-3/2"])
+    def test_one_call_per_evolve(self, monkeypatch, make):
+        scen = make()
+        calls = []
+
+        def counted(t, params):
+            calls.append(t)
+            return gamma_squeezed(t, params)
+
+        monkeypatch.setattr(dynamics, "gamma_squeezed", counted)
+        for k, tau in enumerate((0.4, 0.4, 1.1), start=1):
+            evolve(scen, initial_pure(scen.layout, 0.3), tau)
+            assert len(calls) == k
+
+    def test_element_factor_takes_gamma(self):
+        scen = scenario_composite(0.1)
+        tau = 0.7
+        g = bath_gamma(scen, tau)
+        for args in ((0.5, -0.5, 1, -1), (0.5, 0.5, 0, -1), (0.5, -0.5, 0, 0)):
+            assert (element_factor(scen, *args, tau, g)
+                    == element_factor(scen, *args, tau))
 
 
 class TestGoldenTables:

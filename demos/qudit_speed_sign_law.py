@@ -11,8 +11,10 @@ Run:  python3 demos/qudit_speed_sign_law.py
 import numpy as np
 
 from hsswitness import (OhmicSpectralDensity, Scenario, SpinLayout,
-                        SqueezedBathParams, SqueezedVacuum, bath_gamma,
-                        chi_qudit_closed, evolve, hss, initial_pure)
+                        SqueezedBathParams, SqueezedVacuum, evolve, hss,
+                        initial_pure)
+from hsswitness.dynamics import bath_gamma
+from hsswitness.validation import chi_qudit_closed
 
 bath = SqueezedBathParams(
     spectral=OhmicSpectralDensity(alpha=0.1, s_ohmic=3.0, omega_c=20.0),

@@ -13,15 +13,11 @@ from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
                           rtn_dn, rtn_dn_montecarlo)
 from .dynamics import (QUBIT_QUTRIT, CompositeRtnSqueezed, RtnCommon,
                        RtnIndependent, Scenario, SpinLayout, SqueezedVacuum,
-                       ThermalOhmic, bath_gamma, element_factor, evolve,
-                       initial_mixed, initial_pure, mixed_coherence_factor)
+                       ThermalOhmic, evolve, initial_mixed, initial_pure)
+from .hilbert import DensityMatrix
 from .plotting import series_svg
-from .hilbert import (DensityMatrix, PhiFamily, hermitian_eigenvalues,
-                      hs_distance, partial_trace, partial_transpose,
-                      trace_norm, von_neumann_entropy)
-from .witnesses import (ExtremaReport, WitnessSeries, chi_qudit_closed,
-                        chi_series, compute_series, extrema_report, hss,
-                        hss_finite_difference, mid, mid_closed, negativity,
+from .witnesses import (ExtremaReport, WitnessSeries, compute_series,
+                        extrema_report, hss, mid, mid_closed, negativity,
                         negativity_closed)
 
 __all__ = [
@@ -29,14 +25,11 @@ __all__ = [
     "ThermalBathParams", "gamma_squeezed", "gamma_thermal", "rtn_dn",
     "rtn_dn_montecarlo",
     "QUBIT_QUTRIT", "CompositeRtnSqueezed", "RtnCommon", "RtnIndependent",
-    "Scenario", "SpinLayout", "SqueezedVacuum", "ThermalOhmic",
-    "bath_gamma", "element_factor", "evolve", "initial_mixed",
-    "initial_pure", "mixed_coherence_factor", "series_svg",
-    "DensityMatrix", "PhiFamily", "hermitian_eigenvalues", "hs_distance",
-    "partial_trace", "partial_transpose", "trace_norm", "von_neumann_entropy",
-    "ExtremaReport", "WitnessSeries", "chi_qudit_closed", "chi_series",
-    "compute_series", "extrema_report", "hss", "hss_finite_difference",
-    "mid", "mid_closed", "negativity", "negativity_closed",
+    "Scenario", "SpinLayout", "SqueezedVacuum", "ThermalOhmic", "evolve",
+    "initial_mixed", "initial_pure",
+    "DensityMatrix", "series_svg",
+    "ExtremaReport", "WitnessSeries", "compute_series", "extrema_report",
+    "hss", "mid", "mid_closed", "negativity", "negativity_closed",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ Subcommands
     Monte-Carlo cross-check suites; nonzero exit on any failure.
 
 ``oracle-dn --n N --q Q --tau T [--trials K] [--seed S]``
-    Print the Monte-Carlo telegraph average against the closed form.
+    Print the Monte-Carlo telegraph average against the closed form
+    (q * tau <= 100, at most 10^6 trials).
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 Set HSSWITNESS_WORKERS to parallelize Monte-Carlo chunks.
@@ -236,7 +237,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    ok = validation.run_validation(trials=args.trials, seed=args.seed)
+    rows = validation.run_validation(trials=args.trials, seed=args.seed)
+    for passed, text in rows:
+        print(f"[{'PASS' if passed else 'FAIL'}] {text}")
+    ok = all(passed for passed, _ in rows)
     print("validation:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -59,11 +59,12 @@ class OhmicSpectralDensity:
     omega_c: float
 
     def __post_init__(self):
-        if self.alpha < 0:
+        # written as not (x >= 0) so that NaN fails too
+        if not (self.alpha >= 0):
             raise InvalidParams("alpha must be >= 0")
-        if self.s_ohmic <= 0:
+        if not (self.s_ohmic > 0):
             raise InvalidParams("Ohmic exponent must be > 0")
-        if self.omega_c <= 0:
+        if not (self.omega_c > 0):
             raise InvalidParams("cutoff frequency must be > 0")
 
 
@@ -73,7 +74,7 @@ class ThermalBathParams:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.temperature < 0:
+        if not (self.temperature >= 0):
             raise InvalidParams("temperature must be >= 0")
 
 
@@ -84,8 +85,10 @@ class SqueezedBathParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.r < 0:
+        if not (self.r >= 0):
             raise InvalidParams("squeezing amplitude must be >= 0")
+        if not math.isfinite(self.theta):
+            raise InvalidParams("squeezing phase must be finite")
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,9 @@ class RtnParams:
     gamma_rate: float = 0.0
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not (self.nu > 0):
             raise InvalidParams("nu must be > 0")
-        if self.gamma_rate < 0:
+        if not (self.gamma_rate >= 0):
             raise InvalidParams("switching rate must be >= 0")
 
     @property
@@ -210,7 +213,7 @@ def rtn_dn(n: int, q: float, tau: float) -> float:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParams("n must be a positive integer")
-    if q < 0 or tau < 0:
+    if not (q >= 0 and tau >= 0):
         raise InvalidParams("q and tau must be >= 0")
     if tau == 0.0:
         return 1.0
@@ -228,6 +231,9 @@ def rtn_dn(n: int, q: float, tau: float) -> float:
 
 
 _MC_CHUNK = 20_000
+#: bounds on the Monte-Carlo work: a trajectory flips about q * tau times
+MC_MAX_Q_TAU = 100.0
+MC_MAX_TRIALS = 1_000_000
 
 
 def _mc_chunk(n: int, q: float, tau: float, m: int,
@@ -268,10 +274,12 @@ def rtn_dn_montecarlo(n: int, q: float, tau: float, trials: int,
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParams("n must be a positive integer")
-    if q < 0 or tau < 0:
-        raise InvalidParams("q and tau must be >= 0")
-    if trials < 100:
-        raise InvalidParams("trials must be >= 100")
+    if not (0 <= q < math.inf and 0 <= tau < math.inf):
+        raise InvalidParams("q and tau must be finite and >= 0")
+    if q * tau > MC_MAX_Q_TAU:
+        raise InvalidParams(f"q * tau must be <= {MC_MAX_Q_TAU:g}")
+    if not 100 <= trials <= MC_MAX_TRIALS:
+        raise InvalidParams(f"trials must lie in [100, {MC_MAX_TRIALS}]")
 
     sizes = [_MC_CHUNK] * (trials // _MC_CHUNK)
     if trials % _MC_CHUNK:

@@ -156,11 +156,6 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     return DensityMatrix(red, dims)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(hermitian_eigenvalues(m)).sum())
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum(lam * log2 lam) with the 0*log0 := 0 convention.
 
@@ -170,10 +165,3 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     ev = np.clip(ev.real, 0.0, None)
     nz = ev[ev > 0.0]
     return float(-(nz * np.log2(nz)).sum())
-
-
-def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Hilbert-Schmidt distance sqrt(Tr[(rho - sigma)^2] / 2)."""
-    d = rho.matrix - sigma.matrix
-    val = np.trace(d @ d).real / 2.0
-    return float(np.sqrt(max(val, 0.0)))

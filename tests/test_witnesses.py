@@ -7,11 +7,10 @@ from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, evolve,
                                  mixed_coherence_factor)
 from hsswitness.errors import UnsupportedScenario
 from hsswitness.hilbert import DensityMatrix
-from hsswitness.validation import (qudit_scenario, scenario_composite,
-                                   scenario_rtn, scenario_squeezed)
-from hsswitness.witnesses import (WitnessSeries, chi_qudit_closed, chi_series,
-                                  compute_series, extrema_report, hss,
-                                  hss_finite_difference, mid, mid_closed,
+from hsswitness.validation import (chi_qudit_closed, hss_finite_difference,
+                                   qudit_scenario, scenario_rtn)
+from hsswitness.witnesses import (WitnessSeries, chi_series, compute_series,
+                                  extrema_report, hss, mid, mid_closed,
                                   negativity, negativity_closed)
 
 SQRT5_OVER_6 = np.sqrt(5.0) / 6.0
@@ -39,7 +38,7 @@ class TestHss:
         for scen in all_qubit_qutrit_scenarios.values():
             for tau in (0.0, 0.7, 2.5):
                 fam = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
-                fd = hss_finite_difference(scen, tau, np.pi, h=1e-4)
+                fd = hss_finite_difference(scen, tau, np.pi)
                 assert abs(hss(fam) - fd) < 1e-6
 
     def test_fd_phi_shift_invariant(self):
@@ -87,14 +86,17 @@ class TestChi:
         # chi at s=1/2 must equal d/dt of (1/2) e^{-gamma}
         g, dg = 0.25, -0.4
         expected = -0.5 * dg * np.exp(-g)
-        assert abs(chi_qudit_closed(0.5, g, dg, "derivative") - expected) < 1e-12
+        assert abs(chi_qudit_closed(0.5, g, dg) - expected) < 1e-12
 
     def test_both_forms_same_sign(self):
+        # the paper prints the plain sum, not its square root, as denominator
         rng = np.random.default_rng(5)
         for s in (0.5, 1.0, 1.5, 3.0):
+            k = np.arange(1, int(2 * s) + 1)
             for g, dg in zip(rng.uniform(0, 2, 30), rng.normal(0, 1, 30)):
-                a = chi_qudit_closed(s, g, dg, "derivative")
-                b = chi_qudit_closed(s, g, dg, "printed")
+                terms = np.exp(-2.0 * k**2 * g)
+                a = chi_qudit_closed(s, g, dg)
+                b = -dg / (2 * s + 1) * (k**2 * terms).sum() / terms.sum()
                 assert np.sign(a) == np.sign(b)
                 assert np.sign(a) == np.sign(-dg)
 
@@ -134,10 +136,11 @@ class TestNegativity:
         assert negativity(initial_mixed(1 / 3)) < 1e-12
 
     def test_equals_trace_norm_formula(self, random_density_matrices):
-        from hsswitness.hilbert import partial_transpose, trace_norm
+        from hsswitness.hilbert import partial_transpose
         for rho in random_density_matrices:
             direct = negativity(rho)
-            via_norm = 0.5 * (trace_norm(partial_transpose(rho, 0)) - 1.0)
+            ev = np.linalg.eigvalsh(partial_transpose(rho, 0))
+            via_norm = 0.5 * (np.abs(ev).sum() - 1.0)
             assert abs(direct - via_norm) < 1e-10
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.4])

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hsswitness import (OhmicSpectralDensity, QUBIT_QUTRIT, Scenario,
-                        SqueezedBathParams, SqueezedVacuum, compute_series,
+from hsswitness import (QUBIT_QUTRIT, Environment, OhmicSpectralDensity,
+                        Scenario, SqueezedBathParams, compute_series,
                         series_svg)
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(".")
@@ -22,7 +22,9 @@ out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(".")
 bath = SqueezedBathParams(
     spectral=OhmicSpectralDensity(alpha=0.1, s_ohmic=3.0, omega_c=20.0),
     r=0.3, theta=0.0)
-scenario = Scenario(QUBIT_QUTRIT, SqueezedVacuum(bath))
+# one squeezed reservoir per spin
+scenario = Scenario(QUBIT_QUTRIT, Environment(bath=bath,
+                                              bath_couplings=((1, 0), (0, 1))))
 
 tau = np.linspace(0.0, 3.0, 600)
 series = compute_series(scenario, tau)

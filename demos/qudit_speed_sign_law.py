@@ -10,8 +10,8 @@ Run:  python3 demos/qudit_speed_sign_law.py
 
 import numpy as np
 
-from hsswitness import (OhmicSpectralDensity, Scenario, SpinLayout,
-                        SqueezedBathParams, SqueezedVacuum, evolve, hss,
+from hsswitness import (Environment, OhmicSpectralDensity, Scenario,
+                        SpinLayout, SqueezedBathParams, evolve, hss,
                         initial_pure)
 from hsswitness.dynamics import bath_gamma
 from hsswitness.validation import chi_qudit_closed
@@ -21,7 +21,8 @@ bath = SqueezedBathParams(
     r=0.3, theta=0.0)
 
 for s in (0.5, 1.0, 1.5, 3.0):
-    scenario = Scenario(SpinLayout((s,)), SqueezedVacuum(bath))
+    scenario = Scenario(SpinLayout((s,)), Environment(
+        bath=bath, bath_couplings=((1,),)))
     taus = np.linspace(0.05, 3.0, 120)
     ok = True
     for tau in taus:
@@ -32,6 +33,6 @@ for s in (0.5, 1.0, 1.5, 3.0):
             continue
         chi = chi_qudit_closed(s, bath_gamma(scenario, tau), dg)
         ok &= np.sign(chi) == np.sign(-dg)
-    fam = evolve(scenario, initial_pure(scenario.layout, 0.0), 1.0)
-    print(f"s = {s:>3}: dim {int(2 * s + 1)}, HSS(tau=1) = {hss(fam):.6f}, "
+    rho = evolve(scenario, initial_pure(scenario.layout, 0.0), 1.0)
+    print(f"s = {s:>3}: dim {int(2 * s + 1)}, HSS(tau=1) = {hss(rho):.6f}, "
           f"sign law holds: {bool(ok)}")

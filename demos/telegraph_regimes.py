@@ -12,14 +12,15 @@ Run:  python3 demos/telegraph_regimes.py
 
 import numpy as np
 
-from hsswitness import (QUBIT_QUTRIT, RtnIndependent, RtnParams, Scenario,
+from hsswitness import (QUBIT_QUTRIT, Environment, RtnParams, Scenario,
                         compute_series, extrema_report)
 
 tau = np.linspace(0.0, 30.0, 601)
 
 for q in (0.1, 10.0):
-    scenario = Scenario(QUBIT_QUTRIT, RtnIndependent(RtnParams(nu=1.0,
-                                                               gamma_rate=q)))
+    # one fluctuator per spin; the qubit couples through sigma_z = 2 S_z
+    scenario = Scenario(QUBIT_QUTRIT, Environment(
+        rtn=RtnParams(nu=1.0, gamma_rate=q), rtn_couplings=((2, 0), (0, 1))))
     series = compute_series(scenario, tau)
     report = extrema_report(series)
     print(f"--- q = {q} ---")

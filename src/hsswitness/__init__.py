@@ -11,9 +11,8 @@ disturbance (MID).
 from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
                           ThermalBathParams, gamma_squeezed, gamma_thermal,
                           rtn_dn, rtn_dn_montecarlo)
-from .dynamics import (QUBIT_QUTRIT, CompositeRtnSqueezed, RtnCommon,
-                       RtnIndependent, Scenario, SpinLayout, SqueezedVacuum,
-                       ThermalOhmic, evolve, initial_mixed, initial_pure)
+from .dynamics import (QUBIT_QUTRIT, Environment, Scenario, SpinLayout,
+                       evolve, initial_mixed, initial_pure)
 from .hilbert import DensityMatrix
 from .plotting import series_svg
 from .witnesses import (ExtremaReport, WitnessSeries, compute_series,
@@ -24,8 +23,7 @@ __all__ = [
     "OhmicSpectralDensity", "RtnParams", "SqueezedBathParams",
     "ThermalBathParams", "gamma_squeezed", "gamma_thermal", "rtn_dn",
     "rtn_dn_montecarlo",
-    "QUBIT_QUTRIT", "CompositeRtnSqueezed", "RtnCommon", "RtnIndependent",
-    "Scenario", "SpinLayout", "SqueezedVacuum", "ThermalOhmic", "evolve",
+    "QUBIT_QUTRIT", "Environment", "Scenario", "SpinLayout", "evolve",
     "initial_mixed", "initial_pure",
     "DensityMatrix", "series_svg",
     "ExtremaReport", "WitnessSeries", "compute_series", "extrema_report",

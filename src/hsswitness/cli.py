@@ -32,9 +32,7 @@ import numpy as np
 from . import validation
 from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
                           ThermalBathParams, rtn_dn, rtn_dn_montecarlo)
-from .dynamics import (QUBIT_QUTRIT, CompositeRtnSqueezed, RtnCommon,
-                       RtnIndependent, Scenario, SpinLayout, SqueezedVacuum,
-                       ThermalOhmic)
+from .dynamics import QUBIT_QUTRIT, Environment, Scenario, SpinLayout
 from .errors import ConfigInvalid, HsswitnessError, InvalidParams
 from .plotting import series_svg
 from .witnesses import WitnessSeries, compute_series, extrema_report
@@ -79,22 +77,33 @@ def _telegraph(kw: dict) -> RtnParams:
     return RtnParams(nu=kw["nu"], gamma_rate=kw["q"] * kw["nu"])
 
 
+def _each_spin(kw: dict) -> tuple:
+    """One bath copy per spin: (1,) for a qudit, (1, 0) and (0, 1) for the pair."""
+    return ((1, 0), (0, 1)) if kw["spin"] is None else ((1,),)
+
+
 #: scenario kind -> (allowed keys with their defaults, environment constructor).
 #: ``spin`` (default None, the qubit-qutrit pair) selects a single spin-s qudit.
 KINDS = {
     "squeezed": ({**_BATH, **_SQUEEZING, "spin": None},
-                 lambda kw: SqueezedVacuum(_squeezed_bath(kw))),
+                 lambda kw: Environment(bath=_squeezed_bath(kw),
+                                        bath_couplings=_each_spin(kw))),
     "thermal": ({**_BATH, "temperature": 0.0, "spin": None},
-                lambda kw: ThermalOhmic(ThermalBathParams(
-                    _spectral(kw), temperature=kw["temperature"]))),
+                lambda kw: Environment(
+                    bath=ThermalBathParams(_spectral(kw),
+                                           temperature=kw["temperature"]),
+                    bath_couplings=_each_spin(kw))),
     "rtn_independent": ({"q": 0.1, "nu": 1.0},
-                        lambda kw: RtnIndependent(_telegraph(kw))),
+                        lambda kw: Environment(
+                            rtn=_telegraph(kw), rtn_couplings=((2, 0), (0, 1)))),
     "rtn_common": ({"q": 0.1, "nu": 1.0},
-                   lambda kw: RtnCommon(_telegraph(kw))),
+                   lambda kw: Environment(rtn=_telegraph(kw),
+                                          rtn_couplings=((2, 1),))),
     "composite": ({**_BATH, **_SQUEEZING, "q": 0.1, "nu_ratio": 100.0},
-                  lambda kw: CompositeRtnSqueezed(
+                  lambda kw: Environment(
+                      bath=_squeezed_bath(kw), bath_couplings=((0, 1),),
                       rtn=RtnParams(nu=1.0, gamma_rate=kw["q"]),
-                      bath=_squeezed_bath(kw), nu_ratio=kw["nu_ratio"])),
+                      rtn_couplings=((2, 0),), nu_ratio=kw["nu_ratio"])),
 }
 
 

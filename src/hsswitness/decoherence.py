@@ -59,13 +59,13 @@ class OhmicSpectralDensity:
     omega_c: float
 
     def __post_init__(self):
-        # written as not (x >= 0) so that NaN fails too
-        if not (self.alpha >= 0):
-            raise InvalidParams("alpha must be >= 0")
-        if not (self.s_ohmic > 0):
-            raise InvalidParams("Ohmic exponent must be > 0")
-        if not (self.omega_c > 0):
-            raise InvalidParams("cutoff frequency must be > 0")
+        # written as a chained comparison so that NaN fails too
+        if not 0 <= self.alpha < math.inf:
+            raise InvalidParams("alpha must be finite and >= 0")
+        if not 0 < self.s_ohmic < math.inf:
+            raise InvalidParams("Ohmic exponent must be finite and > 0")
+        if not 0 < self.omega_c < math.inf:
+            raise InvalidParams("cutoff frequency must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class ThermalBathParams:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not (self.temperature >= 0):
-            raise InvalidParams("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise InvalidParams("temperature must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class SqueezedBathParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not (self.r >= 0):
-            raise InvalidParams("squeezing amplitude must be >= 0")
+        if not 0 <= self.r < math.inf:
+            raise InvalidParams("squeezing amplitude must be finite and >= 0")
         if not math.isfinite(self.theta):
             raise InvalidParams("squeezing phase must be finite")
 
@@ -103,10 +103,10 @@ class RtnParams:
     gamma_rate: float = 0.0
 
     def __post_init__(self):
-        if not (self.nu > 0):
-            raise InvalidParams("nu must be > 0")
-        if not (self.gamma_rate >= 0):
-            raise InvalidParams("switching rate must be >= 0")
+        if not 0 < self.nu < math.inf:
+            raise InvalidParams("nu must be finite and > 0")
+        if not 0 <= self.gamma_rate < math.inf:
+            raise InvalidParams("switching rate must be finite and >= 0")
 
     @property
     def q(self) -> float:
@@ -213,14 +213,15 @@ def rtn_dn(n: int, q: float, tau: float) -> float:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParams("n must be a positive integer")
-    if not (q >= 0 and tau >= 0):
-        raise InvalidParams("q and tau must be >= 0")
+    if not (0 <= q < math.inf and 0 <= tau < math.inf):
+        raise InvalidParams("q and tau must be finite and >= 0")
     if tau == 0.0:
         return 1.0
     if abs(q - n) < RTN_SEAM:
         return math.exp(-q * tau) * (1.0 + q * tau)
     if q > n:
-        xi = math.sqrt(q * q - n * n)
+        # q * q would overflow above q ~ 1.3e154
+        xi = math.sqrt(q - n) * math.sqrt(q + n)
         # rewrite e^{-q tau} cosh/sinh in stable exponential form
         ep = math.exp(-n * n / (xi + q) * tau)  # xi - q without cancellation
         em = math.exp((-xi - q) * tau)

@@ -1,18 +1,22 @@
-"""Evolved, phase-parameterized density matrices under pure dephasing.
+"""Evolved density matrices under pure dephasing.
 
-A scenario pairs a spin layout (single spin-s qudit or qubit-qutrit) with an
-environment model.  Every environment here is pure dephasing, so evolution is
-an entrywise product of the initial matrix with a real damping factor
-determined by the z quantum numbers of the element:
+A scenario pairs a spin layout (one spin-s qudit or a pair of spins) with an
+:class:`Environment`.  Every environment here is pure dephasing, so evolution
+multiplies each matrix element by a real damping factor.  Element (n, m),
+whose z labels differ by the integer vector Delta (one entry per spin), gets
+one formula:
 
-* independent squeezed/thermal baths: ``exp(-(dA^2 + dB^2) * gamma(t))``
-* independent telegraph noise: ``D_|2 dA|(tau) * D_|dB|(tau)`` -- the qubit
-  couples via sigma_z (eigenvalues +/-1), hence the effective splitting 2 dA
-* common telegraph noise: ``D_|2 dA + dB|(tau)``, so opposite-winding
-  coherences (the {|02>, |10>} block) are decoherence free
-* composite: telegraph noise on the qubit, squeezed reservoir on the qutrit
+    exp(-Gamma(tau) * sum_bath (c . Delta)^2) * prod_rtn D_|c . Delta|(nu_ratio * tau)
 
-with ``dA = nA - mA`` and ``dB = nB - mB`` in spin labels and ``D_0 := 1``.
+with one integer coupling vector c per independent copy of the bath or of
+the telegraph process, and D_0 := 1.  The paper's kinds are rows of couplings:
+
+* thermal or squeezed baths on each spin: (1,), or (1, 0) and (0, 1);
+* independent telegraph noise: (2, 0) and (0, 1) -- the qubit couples via
+  sigma_z = 2 S_z, hence its doubled winding;
+* common telegraph noise: (2, 1), so opposite windings (the {|02>, |10>}
+  block) are decoherence free;
+* composite: telegraph noise on (2, 0), squeezed reservoir on (0, 1).
 
 Dimensionless time conventions: tau = omega_0 * t for quantum baths,
 tau = nu * t for telegraph-only scenarios.  The composite scenario uses
@@ -21,16 +25,18 @@ tau = omega_0 * t and evaluates the telegraph averages at nu_ratio * tau.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
 import numpy as np
 
 from .decoherence import (RtnParams, SqueezedBathParams, ThermalBathParams,
                           gamma_squeezed, gamma_thermal, rtn_dn)
 from .errors import InvalidP, InvalidParams, UnsupportedScenario
-from .hilbert import DensityMatrix, PhiFamily
+from .hilbert import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -67,84 +73,63 @@ class SpinLayout:
 QUBIT_QUTRIT = SpinLayout((Fraction(1, 2), Fraction(1)))
 
 
-# --- environment models ------------------------------------------------------
-# Each kind carries its facts as class data: the topology of its closed forms,
-# whether it needs the qubit-qutrit layout, its quantum bath (None for pure
-# telegraph noise) and nu_ratio, the telegraph clock in units of tau.
+# --- environments -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThermalOhmic:
-    bath: ThermalBathParams
-    topology: ClassVar[str] = "independent"
-    needs_qubit_qutrit: ClassVar[bool] = False
-    nu_ratio: ClassVar[float] = 1
-
-
-@dataclass(frozen=True)
-class SqueezedVacuum:
-    bath: SqueezedBathParams
-    topology: ClassVar[str] = "independent"
-    needs_qubit_qutrit: ClassVar[bool] = False
-    nu_ratio: ClassVar[float] = 1
+def _integer_vector(c) -> tuple[int, ...]:
+    try:
+        v = tuple(int(x) for x in c)
+        ok = v == tuple(c)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidParams(f"coupling {c!r} is not an integer vector")
+    return v
 
 
 @dataclass(frozen=True)
-class RtnIndependent:
-    rtn: RtnParams
-    topology: ClassVar[str] = "independent"
-    needs_qubit_qutrit: ClassVar[bool] = True
-    bath: ClassVar[None] = None
-    nu_ratio: ClassVar[float] = 1
+class Environment:
+    """What the dephasing formula reads: its sources and their couplings.
 
-
-@dataclass(frozen=True)
-class RtnCommon:
-    rtn: RtnParams
-    topology: ClassVar[str] = "common"
-    needs_qubit_qutrit: ClassVar[bool] = True
-    bath: ClassVar[None] = None
-    nu_ratio: ClassVar[float] = 1
-
-
-@dataclass(frozen=True)
-class CompositeRtnSqueezed:
-    """Telegraph noise on the qubit, squeezed reservoir on the qutrit.
-
-    nu_ratio = nu / omega_0 converts the shared dimensionless time
-    tau = omega_0 t to the telegraph time nu t.
+    ``bath`` (thermal or squeezed) acts once on each vector of
+    ``bath_couplings``, as independent copies; ``rtn`` likewise on each
+    vector of ``rtn_couplings``.  A coupling vector holds one integer per
+    spin.  ``nu_ratio`` is the telegraph clock: telegraph time per unit tau.
     """
 
-    rtn: RtnParams
-    bath: SqueezedBathParams
-    nu_ratio: float = 100.0
-    topology: ClassVar[str] = "composite"
-    needs_qubit_qutrit: ClassVar[bool] = True
+    bath: ThermalBathParams | SqueezedBathParams | None = None
+    bath_couplings: tuple = ()
+    rtn: RtnParams | None = None
+    rtn_couplings: tuple = ()
+    nu_ratio: float = 1.0
 
     def __post_init__(self):
-        if not self.nu_ratio > 0:
-            raise InvalidParams("nu_ratio must be > 0")
+        bath_c = tuple(_integer_vector(c) for c in self.bath_couplings)
+        rtn_c = tuple(_integer_vector(c) for c in self.rtn_couplings)
+        if (self.bath is None) != (not bath_c) or (self.rtn is None) != (not rtn_c):
+            raise InvalidParams("a source needs coupling vectors, and a "
+                                "coupling vector needs its source")
+        if not (bath_c or rtn_c):
+            raise InvalidParams("an environment needs at least one coupling")
+        if not 0 < self.nu_ratio < math.inf:
+            raise InvalidParams("nu_ratio must be finite and > 0")
+        object.__setattr__(self, "bath_couplings", bath_c)
+        object.__setattr__(self, "rtn_couplings", rtn_c)
 
 
 @dataclass(frozen=True)
 class Scenario:
     layout: SpinLayout
-    environment: object
+    environment: Environment
 
     def __post_init__(self):
+        n = len(self.layout.spins)
+        if n > 2:
+            raise UnsupportedScenario(f"a layout holds one or two spins, not {n}")
         env = self.environment
-        needs_qq = getattr(env, "needs_qubit_qutrit", None)
-        if needs_qq is None:
-            raise UnsupportedScenario(f"unknown environment {type(env).__name__}")
-        if self.layout.dims != (2, 3):
-            if needs_qq:
+        for c in env.bath_couplings + env.rtn_couplings:
+            if len(c) != n:
                 raise UnsupportedScenario(
-                    "telegraph-noise scenarios require the qubit-qutrit layout")
-            if len(self.layout.spins) == 2:
-                raise UnsupportedScenario("bipartite layouts are qubit-qutrit only")
-
-    @property
-    def topology(self) -> str:
-        return self.environment.topology
+                    f"coupling {c} does not fit a layout of {n} spin(s)")
 
 
 def bath_gamma(scenario: Scenario, tau: float) -> float:
@@ -157,27 +142,14 @@ def bath_gamma(scenario: Scenario, tau: float) -> float:
     return gamma_squeezed(tau, bath)
 
 
-def rtn_tau(scenario: Scenario, tau: float) -> float:
-    return scenario.environment.nu_ratio * tau
-
-
-def _dn(q: float, k: int, tau: float) -> float:
-    return 1.0 if k == 0 else rtn_dn(k, q, tau)
-
-
 # --- initial states ---------------------------------------------------------
 
-def initial_pure(layout: SpinLayout, phi: float) -> PhiFamily:
+def initial_pure(layout: SpinLayout, phi: float) -> DensityMatrix:
     """Uniform superposition with phase e^{i phi} on the first basis ket."""
     d = layout.dim
     amps = np.ones(d, dtype=complex) / np.sqrt(d)
     amps[0] *= np.exp(1j * phi)
-    rho = np.outer(amps, amps.conj())
-    mask = np.zeros((d, d), dtype=int)
-    mask[0, 1:] = 1
-    mask[1:, 0] = -1
-    return PhiFamily(base=DensityMatrix(rho, layout.dims),
-                     phase_mask=mask, phi_ref=phi)
+    return DensityMatrix(np.outer(amps, amps.conj()), layout.dims)
 
 
 def _bell_like(i: int, j: int) -> np.ndarray:
@@ -205,32 +177,30 @@ def initial_mixed(p: float) -> DensityMatrix:
 
 # --- dephasing factors -------------------------------------------------------
 
-def element_factor(scenario: Scenario, nA: float, mA: float,
-                   nB: float, mB: float, tau: float,
-                   gamma: float | None = None) -> float:
-    """Damping factor of the (nA nB, mA mB) matrix element at time tau.
+def _winding(c: tuple, delta: tuple) -> float:
+    return sum(map(operator.mul, c, delta))
 
-    ``gamma`` is the bath exponent at tau, when the caller has it already.
+
+def element_factor(scenario: Scenario, delta: tuple, tau: float,
+                   gamma: float | None = None) -> float:
+    """Damping factor of a matrix element whose z labels differ by ``delta``.
+
+    exp(-gamma * sum_bath (c . delta)^2) * prod_rtn D_|c . delta|(nu_ratio tau),
+    with D_0 = 1.  ``gamma`` is the bath exponent at tau, when the caller
+    has it already.
     """
-    dA = nA - mA
-    dB = nB - mB
     env = scenario.environment
-    if env.bath is not None and gamma is None:
-        gamma = bath_gamma(scenario, tau)
-    if isinstance(env, (ThermalOhmic, SqueezedVacuum)):
-        return float(np.exp(-(dA**2 + dB**2) * gamma))
-    q = env.rtn.q
-    kA = abs(int(round(2 * dA)))
-    kB = abs(int(round(dB)))
-    if isinstance(env, RtnIndependent):
-        tr = rtn_tau(scenario, tau)
-        return _dn(q, kA, tr) * _dn(q, kB, tr)
-    if isinstance(env, RtnCommon):
-        k = abs(int(round(2 * dA + dB)))
-        return _dn(q, k, rtn_tau(scenario, tau))
-    if isinstance(env, CompositeRtnSqueezed):
-        return _dn(q, kA, rtn_tau(scenario, tau)) * float(np.exp(-dB**2 * gamma))
-    raise UnsupportedScenario(type(env).__name__)
+    f = 1.0
+    if env.bath is not None:
+        if gamma is None:
+            gamma = bath_gamma(scenario, tau)
+        windings = sum(_winding(c, delta) ** 2 for c in env.bath_couplings)
+        f = float(np.exp(-windings * gamma))
+    for c in env.rtn_couplings:
+        k = abs(int(round(_winding(c, delta))))
+        if k:
+            f *= rtn_dn(k, env.rtn.q, env.nu_ratio * tau)
+    return f
 
 
 def factor_matrix(scenario: Scenario, tau: float) -> np.ndarray:
@@ -240,33 +210,23 @@ def factor_matrix(scenario: Scenario, tau: float) -> np.ndarray:
     """
     layout = scenario.layout
     g = None if scenario.environment.bath is None else bath_gamma(scenario, tau)
-    if len(layout.spins) == 1:
-        labels = layout.z_labels(0)
-        dn = labels[:, None] - labels[None, :]
-        return np.exp(-dn**2 * g)
-    a = layout.z_labels(0)
-    b = layout.z_labels(1)
-    dA, dB = layout.dims
-    out = np.empty((dA * dB, dA * dB))
-    for i in range(dA * dB):
-        iA, iB = divmod(i, dB)
-        for j in range(i, dA * dB):
-            jA, jB = divmod(j, dB)
-            f = element_factor(scenario, a[iA], a[jA], b[iB], b[jB], tau, g)
-            out[i, j] = out[j, i] = f
+    # the z labels of each basis ket, in the order of the tensor product
+    kets = list(itertools.product(*map(layout.z_labels, range(len(layout.spins)))))
+    d = len(kets)
+    out = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            delta = tuple(a - b for a, b in zip(kets[i], kets[j]))
+            out[i, j] = out[j, i] = element_factor(scenario, delta, tau, g)
     return out
 
 
-def evolve(scenario: Scenario, initial, tau: float):
-    """Entrywise dephasing of a PhiFamily or DensityMatrix at time tau."""
-    factor = factor_matrix(scenario, tau)
-    if isinstance(initial, PhiFamily):
-        return PhiFamily(
-            base=DensityMatrix(initial.base.matrix * factor, initial.base.dims),
-            phase_mask=initial.phase_mask, phi_ref=initial.phi_ref)
-    if isinstance(initial, DensityMatrix):
-        return DensityMatrix(initial.matrix * factor, initial.dims)
-    raise TypeError(f"cannot evolve {type(initial).__name__}")
+def evolve(scenario: Scenario, rho: DensityMatrix, tau: float) -> DensityMatrix:
+    """Entrywise dephasing of a state of the scenario's layout at time tau."""
+    if rho.dims != scenario.layout.dims:
+        raise UnsupportedScenario(
+            f"state dims {rho.dims} do not match the layout {scenario.layout.dims}")
+    return DensityMatrix(rho.matrix * factor_matrix(scenario, tau), rho.dims)
 
 
 def mixed_coherence_factor(scenario: Scenario, tau: float) -> float:

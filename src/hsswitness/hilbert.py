@@ -36,11 +36,11 @@ def herm_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def require_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     m = _as_complex(m)
     d = herm_defect(m)
-    if d > tol:
-        raise NotHermitian(f"Hermiticity defect {d:.3e} exceeds {tol:.1e}")
+    if d > TOL_HERM:
+        raise NotHermitian(f"Hermiticity defect {d:.3e} exceeds {TOL_HERM:.1e}")
     return m
 
 
@@ -77,49 +77,14 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class PhiFamily:
-    """A phase-encoded family of density matrices.
-
-    ``base`` is the state evaluated at the reference phase ``phi_ref``;
-    the integer ``phase_mask`` gives the winding of each entry, so that
-    ``entry(phi) = entry(phi_ref) * exp(i * m_ij * (phi - phi_ref))``.
-    The mask must be antisymmetric with zero diagonal, which keeps every
-    member of the family Hermitian.
-    """
-
-    base: DensityMatrix
-    phase_mask: np.ndarray
-    phi_ref: float = 0.0
-
-    def __post_init__(self):
-        mask = np.asarray(self.phase_mask, dtype=int)
-        if mask.shape != self.base.matrix.shape:
-            raise ValueError("phase_mask shape mismatch")
-        if np.any(mask != -mask.T) or np.any(np.diag(mask) != 0):
-            raise ValueError("phase_mask must be antisymmetric with zero diagonal")
-        object.__setattr__(self, "phase_mask", mask)
-
-    def at_phi(self, phi: float) -> np.ndarray:
-        """Matrix of the family member at phase ``phi``."""
-        return self.base.matrix * np.exp(1j * self.phase_mask * (phi - self.phi_ref))
-
-    def state_at(self, phi: float) -> DensityMatrix:
-        return DensityMatrix(self.at_phi(phi), self.base.dims)
-
-    def dphi(self) -> np.ndarray:
-        """Analytic derivative d(rho)/d(phi), entrywise ``i * m_ij * entry``."""
-        return 1j * self.phase_mask * self.base.matrix
-
-
-def hermitian_eigenvalues(m: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, descending.
 
     The matrix is explicitly symmetrized as (m + m^dagger)/2 before the
     solve, which suppresses roundoff drift without changing the spectrum
     within the Hermiticity tolerance.
     """
-    m = require_hermitian(m, tol)
+    m = require_hermitian(m)
     ev = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     return ev[::-1]
 

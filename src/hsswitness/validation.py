@@ -28,8 +28,7 @@ import numpy as np
 from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
                           ThermalBathParams, gamma_squeezed, gamma_thermal,
                           rtn_dn, rtn_dn_montecarlo)
-from .dynamics import (QUBIT_QUTRIT, CompositeRtnSqueezed, RtnCommon,
-                       RtnIndependent, Scenario, SpinLayout, SqueezedVacuum,
+from .dynamics import (QUBIT_QUTRIT, Environment, Scenario, SpinLayout,
                        bath_gamma, evolve, initial_mixed, initial_pure,
                        mixed_coherence_factor)
 from .errors import HsswitnessError, InvalidParams
@@ -276,7 +275,7 @@ def hss_finite_difference(scenario: Scenario, tau: float, phi: float) -> float:
     """Central-difference oracle for the HSS in phi, O(FD_STEP^2) accurate."""
     rp = evolve(scenario, initial_pure(scenario.layout, phi + FD_STEP), tau)
     rm = evolve(scenario, initial_pure(scenario.layout, phi - FD_STEP), tau)
-    d = (rp.base.matrix - rm.base.matrix) / (2.0 * FD_STEP)
+    d = (rp.matrix - rm.matrix) / (2.0 * FD_STEP)
     val = np.trace(d @ d).real / 2.0
     return float(np.sqrt(max(val, 0.0)))
 
@@ -305,28 +304,32 @@ def figure_bath() -> SqueezedBathParams:
 
 
 def scenario_squeezed() -> Scenario:
-    return Scenario(QUBIT_QUTRIT, SqueezedVacuum(figure_bath()))
+    return Scenario(QUBIT_QUTRIT, Environment(
+        bath=figure_bath(), bath_couplings=((1, 0), (0, 1))))
 
 
 def scenario_rtn(q: float, common: bool = False) -> Scenario:
-    env_cls = RtnCommon if common else RtnIndependent
-    return Scenario(QUBIT_QUTRIT, env_cls(RtnParams(nu=1.0, gamma_rate=q)))
+    return Scenario(QUBIT_QUTRIT, Environment(
+        rtn=RtnParams(nu=1.0, gamma_rate=q),
+        rtn_couplings=((2, 1),) if common else ((2, 0), (0, 1))))
 
 
 def scenario_composite(q: float, nu_ratio: float = 100.0) -> Scenario:
-    return Scenario(QUBIT_QUTRIT, CompositeRtnSqueezed(
-        rtn=RtnParams(nu=1.0, gamma_rate=q), bath=figure_bath(),
+    return Scenario(QUBIT_QUTRIT, Environment(
+        bath=figure_bath(), bath_couplings=((0, 1),),
+        rtn=RtnParams(nu=1.0, gamma_rate=q), rtn_couplings=((2, 0),),
         nu_ratio=nu_ratio))
 
 
 def qudit_scenario(s: float) -> Scenario:
-    return Scenario(SpinLayout((s,)), SqueezedVacuum(figure_bath()))
+    return Scenario(SpinLayout((s,)), Environment(
+        bath=figure_bath(), bath_couplings=((1,),)))
 
 
 # --- check suites ----------------------------------------------------------------
 
 def check_golden_matrices(n_times: int = 20, seed: int = 7,
-                          tol: float = 1e-12) -> list[tuple[str, float]]:
+                          ) -> list[tuple[str, float]]:
     """Max entrywise deviation of evolve() from each golden table."""
     rng = np.random.default_rng(seed)
     phi = np.pi / 3.0
@@ -335,7 +338,7 @@ def check_golden_matrices(n_times: int = 20, seed: int = 7,
     sq = scenario_squeezed()
     for tau in rng.uniform(0.05, 3.0, n_times):
         g = bath_gamma(sq, tau)
-        got = evolve(sq, initial_pure(QUBIT_QUTRIT, phi), tau).base.matrix
+        got = evolve(sq, initial_pure(QUBIT_QUTRIT, phi), tau).matrix
         results.append(("pure-squeezed",
                         np.abs(got - golden_pure_squeezed(g, phi)).max()))
         got = evolve(sq, initial_mixed(0.3), tau).matrix
@@ -347,13 +350,13 @@ def check_golden_matrices(n_times: int = 20, seed: int = 7,
     com = scenario_rtn(q, common=True)
     for tau in rng.uniform(0.05, 30.0, n_times):
         d = [rtn_dn(n, q, tau) for n in (1, 2, 3, 4)]
-        got = evolve(ind, initial_pure(QUBIT_QUTRIT, phi), tau).base.matrix
+        got = evolve(ind, initial_pure(QUBIT_QUTRIT, phi), tau).matrix
         results.append(("pure-rtn-independent",
                         np.abs(got - golden_pure_rtn_independent(d[0], d[1], phi)).max()))
         got = evolve(ind, initial_mixed(0.3), tau).matrix
         results.append(("mixed-rtn-independent",
                         np.abs(got - golden_mixed(0.3, d[1] ** 2)).max()))
-        got = evolve(com, initial_pure(QUBIT_QUTRIT, phi), tau).base.matrix
+        got = evolve(com, initial_pure(QUBIT_QUTRIT, phi), tau).matrix
         results.append(("pure-rtn-common",
                         np.abs(got - golden_pure_rtn_common(*d, phi)).max()))
         got = evolve(com, initial_mixed(0.3), tau).matrix
@@ -364,7 +367,7 @@ def check_golden_matrices(n_times: int = 20, seed: int = 7,
     for tau in rng.uniform(0.05, 3.0, n_times):
         g = bath_gamma(comp, tau)
         d2 = rtn_dn(2, q, comp.environment.nu_ratio * tau)
-        got = evolve(comp, initial_pure(QUBIT_QUTRIT, phi), tau).base.matrix
+        got = evolve(comp, initial_pure(QUBIT_QUTRIT, phi), tau).matrix
         results.append(("pure-composite",
                         np.abs(got - golden_pure_composite(d2, g, phi)).max()))
         got = evolve(comp, initial_mixed(0.3), tau).matrix
@@ -397,8 +400,7 @@ def check_closed_forms(p_values=(0.0, 0.1, 0.3, 0.4), n_times: int = 40,
                 dev_n = max(dev_n, abs(negativity(state)
                                        - negativity_closed(p, F, topo)))
                 dev_m = max(dev_m, abs(mid(state) - mid_closed(p, F, topo)))
-            fam = evolve(scen, pure0, tau)
-            dev_h = max(dev_h, abs(hss(fam)
+            dev_h = max(dev_h, abs(hss(evolve(scen, pure0, tau))
                                    - hss_finite_difference(scen, tau, np.pi)))
         out.append((f"negativity-closed/{name}", dev_n))
         out.append((f"mid-closed/{name}", dev_m))

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import Scenario, evolve, initial_mixed, initial_pure
 from .errors import InvalidParams, UnsupportedScenario
-from .hilbert import (DensityMatrix, PhiFamily, hermitian_eigenvalues,
-                      partial_trace, partial_transpose, von_neumann_entropy)
+from .hilbert import (DensityMatrix, hermitian_eigenvalues, partial_trace,
+                      partial_transpose, von_neumann_entropy)
 
 EPS_CHI = 1e-8
 EPS_NEGATIVITY = 1e-6
@@ -27,9 +27,17 @@ PLATEAU_TOL = 1e-12
 
 # --- Hilbert-Schmidt speed ----------------------------------------------------
 
-def hss(family: PhiFamily) -> float:
-    """sqrt(Tr[(d rho / d phi)^2] / 2) via the analytic entrywise derivative."""
-    d = family.dphi()
+def hss(rho: DensityMatrix) -> float:
+    """sqrt(Tr[(d rho / d phi)^2] / 2) for the phase phi on the first basis ket.
+
+    That phase winds entry (0, j) by +1 and entry (j, 0) by -1, so the
+    derivative is ``1j * mask * rho`` entrywise.
+    """
+    n = rho.dim
+    mask = np.zeros((n, n), dtype=int)
+    mask[0, 1:] = 1
+    mask[1:, 0] = -1
+    d = 1j * mask * rho.matrix
     val = np.trace(d @ d).real / 2.0
     return float(np.sqrt(max(val, 0.0)))
 
@@ -211,12 +219,11 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
     neg_vals = np.zeros(tau_grid.size)
     mid_vals = np.zeros(tau_grid.size)
     for k, tau in enumerate(tau_grid):
-        fam = evolve(scenario, pure0, tau)
-        hss_vals[k] = hss(fam)
+        pure = evolve(scenario, pure0, tau)
+        hss_vals[k] = hss(pure)
         if not bipartite:
             continue
-        state = (evolve(scenario, corr0, tau) if corr0 is not None
-                 else fam.state_at(phi))
+        state = evolve(scenario, corr0, tau) if corr0 is not None else pure
         neg_vals[k] = negativity(state)
         mid_vals[k] = max(mid(state), 0.0)
     chi_vals = chi_series(hss_vals, tau_grid)

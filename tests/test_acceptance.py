@@ -41,14 +41,14 @@ def _scenarios():
 def test_01_initial_value_anchors():
     worst_pure = 0.0
     for scen, tau_max, _ in _scenarios().values():
-        fam = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), 0.0)
-        worst_pure = max(worst_pure, abs(hss(fam) - np.sqrt(5.0) / 6.0))
+        rho = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), 0.0)
+        worst_pure = max(worst_pure, abs(hss(rho) - np.sqrt(5.0) / 6.0))
     scen = qudit_scenario(0.5)
     worst_qudit = 0.0
     for tau in np.linspace(0.0, 3.0, 40):
         g = bath_gamma(scen, tau)
-        fam = evolve(scen, initial_pure(scen.layout, 0.4), tau)
-        worst_qudit = max(worst_qudit, abs(hss(fam) - 0.5 * np.exp(-g)))
+        rho = evolve(scen, initial_pure(scen.layout, 0.4), tau)
+        worst_qudit = max(worst_qudit, abs(hss(rho) - 0.5 * np.exp(-g)))
     _report("initial-value anchors",
             worst_pure < 1e-12 and worst_qudit < 1e-10,
             f"pure dev {worst_pure:.1e}, spin-1/2 dev {worst_qudit:.1e}")
@@ -92,10 +92,10 @@ def test_03_closed_form_equivalence():
     for name in ("squeezed", "rtn-independent", "rtn-common"):
         scen, tau_max, _ = cases[name]
         for tau in np.linspace(0.0, tau_max, 30):
-            fam = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
+            rho = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
             worst_h = max(worst_h,
-                          abs(hss(fam) - printed_hss(name, scen, tau)),
-                          abs(hss(fam) - hss_finite_difference(scen, tau, np.pi)))
+                          abs(hss(rho) - printed_hss(name, scen, tau)),
+                          abs(hss(rho) - hss_finite_difference(scen, tau, np.pi)))
     _report("closed-form equivalence",
             worst_nm < 1e-10 and worst_h < 1e-6,
             f"neg/MID dev {worst_nm:.1e}, HSS dev {worst_h:.1e}")

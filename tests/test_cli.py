@@ -264,6 +264,22 @@ def test_fast_telegraph_noise_run(tmp_path, kind, q):
     assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
 
 
+def _hss_column(tmp_path, q):
+    raw = {"scenario": {"kind": "rtn_independent", "q": q}, "tau_max": 3.0,
+           "grid_points": 16}
+    path = tmp_path / "frozen.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "frozen.csv").read_text().splitlines()[1:]
+    return np.array([float(row.split(",")[1]) for row in rows])
+
+
+def test_overflowing_switching_rate_stays_frozen(tmp_path):
+    # q * q overflows above q ~ 1.3e154; the noise is frozen out either way
+    assert np.abs(_hss_column(tmp_path, 1e200)
+                  - _hss_column(tmp_path, 1e100)).max() < 1e-12
+
+
 def test_validate_reports_gamma_margin():
     rows = [(passed, text) for passed, text in validation.run_validation(trials=1000)
             if "gamma-closed/quadrature" in text]

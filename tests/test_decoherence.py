@@ -46,6 +46,7 @@ SUPER = OhmicSpectralDensity(alpha=0.1, s_ohmic=3.0, omega_c=20.0)
 
 
 NAN = float("nan")
+INF = math.inf
 
 
 @pytest.mark.parametrize("make", [
@@ -60,8 +61,19 @@ NAN = float("nan")
     lambda: RtnParams(gamma_rate=NAN),
     lambda: rtn_dn(1, NAN, 1.0),
     lambda: rtn_dn(1, 0.1, NAN),
+    lambda: OhmicSpectralDensity(INF, 3.0, 20.0),
+    lambda: OhmicSpectralDensity(0.1, INF, 20.0),
+    lambda: OhmicSpectralDensity(0.1, 3.0, INF),
+    lambda: ThermalBathParams(SUPER, temperature=INF),
+    lambda: SqueezedBathParams(SUPER, r=INF),
+    lambda: RtnParams(nu=INF),
+    lambda: RtnParams(gamma_rate=INF),
+    lambda: rtn_dn(1, INF, 1.0),
+    lambda: rtn_dn(1, 0.1, INF),
 ], ids=["alpha", "s_ohmic", "omega_c", "temperature", "r", "theta-nan",
-        "theta-inf", "nu", "gamma_rate", "rtn_dn-q", "rtn_dn-tau"])
+        "theta-inf", "nu", "gamma_rate", "rtn_dn-q", "rtn_dn-tau",
+        "alpha-inf", "s_ohmic-inf", "omega_c-inf", "temperature-inf", "r-inf",
+        "nu-inf", "gamma_rate-inf", "rtn_dn-q-inf", "rtn_dn-tau-inf"])
 def test_nan_parameters_rejected(make):
     with pytest.raises(InvalidParams):
         make()

@@ -1,21 +1,31 @@
+import functools
+
 import numpy as np
 import pytest
 
 from hsswitness import dynamics
-from hsswitness.decoherence import gamma_squeezed, rtn_dn
-from hsswitness.dynamics import (QUBIT_QUTRIT, Scenario, SpinLayout,
-                                 bath_gamma, element_factor, evolve,
-                                 initial_mixed, initial_pure,
-                                 mixed_coherence_factor)
+from hsswitness.decoherence import RtnParams, gamma_squeezed, rtn_dn
+from hsswitness.dynamics import (QUBIT_QUTRIT, Environment, Scenario,
+                                 SpinLayout, bath_gamma, element_factor,
+                                 evolve, factor_matrix, initial_mixed,
+                                 initial_pure, mixed_coherence_factor)
 from hsswitness.errors import InvalidP, InvalidParams, UnsupportedScenario
 from hsswitness.hilbert import hermitian_eigenvalues
 from hsswitness.validation import (golden_mixed, golden_mixed_common,
                                    golden_pure_composite,
                                    golden_pure_rtn_common,
                                    golden_pure_rtn_independent,
-                                   golden_pure_squeezed, qudit_scenario,
-                                   scenario_composite, scenario_rtn,
-                                   scenario_squeezed)
+                                   golden_pure_squeezed, figure_bath,
+                                   qudit_scenario, scenario_composite,
+                                   scenario_rtn, scenario_squeezed)
+
+
+def first_ket_mask(d):
+    """Winding of each entry under the phase on the first basis ket."""
+    mask = np.zeros((d, d))
+    mask[0, 1:] = 1
+    mask[1:, 0] = -1
+    return mask
 
 
 class TestLayout:
@@ -34,21 +44,20 @@ class TestLayout:
 
 class TestInitialStates:
     def test_pure_phi_zero_uniform(self):
-        fam = initial_pure(SpinLayout((0.5,)), 0.0)
-        assert np.allclose(fam.base.matrix, np.full((2, 2), 0.5))
+        rho = initial_pure(SpinLayout((0.5,)), 0.0)
+        assert np.allclose(rho.matrix, np.full((2, 2), 0.5))
 
     def test_pure_phi_pi_negates_first_row(self):
-        fam = initial_pure(QUBIT_QUTRIT, np.pi)
-        m = fam.base.matrix
+        m = initial_pure(QUBIT_QUTRIT, np.pi).matrix
         assert np.allclose(m[0, 1:], -1 / 6, atol=1e-12)
         assert np.allclose(m[1:, 1:], 1 / 6, atol=1e-12)
         assert abs(m.trace() - 1.0) < 1e-12
 
     def test_pure_mask_structure(self):
-        fam = initial_pure(QUBIT_QUTRIT, 0.3)
-        mask = fam.phase_mask
-        assert np.all(mask[0, 1:] == 1) and np.all(mask[1:, 0] == -1)
-        assert np.all(mask[1:, 1:] == 0)
+        # phi winds entry (0, j) by +1, entry (j, 0) by -1 and no other entry
+        ratio = (initial_pure(QUBIT_QUTRIT, 0.3).matrix
+                 / initial_pure(QUBIT_QUTRIT, 0.0).matrix)
+        assert np.allclose(ratio, np.exp(0.3j * first_ket_mask(6)), atol=1e-12)
 
     def test_mixed_p0_is_pure_bell_like(self):
         rho = initial_mixed(0.0)
@@ -78,41 +87,43 @@ class TestDephaseSingle:
 
     def test_identity_at_gamma_zero(self):
         scen = qudit_scenario(1.5)
-        fam = initial_pure(scen.layout, 0.7)
+        rho = initial_pure(scen.layout, 0.7)
         assert bath_gamma(scen, 0.0) == 0.0
-        out = evolve(scen, fam, 0.0)
-        assert np.allclose(out.base.matrix, fam.base.matrix)
+        out = evolve(scen, rho, 0.0)
+        assert np.allclose(out.matrix, rho.matrix)
 
     def test_spin_half_factor(self):
         scen, tau = qudit_scenario(0.5), 0.8
         g = bath_gamma(scen, tau)
         assert g > 0.01
         out = evolve(scen, initial_pure(scen.layout, 0.0), tau)
-        assert abs(out.base.matrix[0, 1] - 0.5 * np.exp(-g)) < 1e-14
+        assert abs(out.matrix[0, 1] - 0.5 * np.exp(-g)) < 1e-14
 
     def test_extreme_element_exponent(self):
         # (n - m) = 3 coherence of a spin-3/2 damps as e^{-9 gamma}
         scen, tau = qudit_scenario(1.5), 0.8
         g = bath_gamma(scen, tau)
         out = evolve(scen, initial_pure(scen.layout, 0.0), tau)
-        assert abs(out.base.matrix[0, 3] - 0.25 * np.exp(-9 * g)) < 1e-14
+        assert abs(out.matrix[0, 3] - 0.25 * np.exp(-9 * g)) < 1e-14
 
 
 class TestElementFactor:
+    """Entries of factor_matrix; ket |ab> has index 3a + b."""
+
     def test_diagonal_is_one(self, all_qubit_qutrit_scenarios):
         for scen in all_qubit_qutrit_scenarios.values():
-            assert element_factor(scen, 0.5, 0.5, 1.0, 1.0, 1.3) == pytest.approx(1.0)
+            assert np.diag(factor_matrix(scen, 1.3)) == pytest.approx(np.ones(6))
 
     def test_common_rtn_decoherence_free_pair(self):
         scen = scenario_rtn(0.1, common=True)
         # |02><10|: qubit winding +2, qutrit winding -2 cancel exactly
-        assert element_factor(scen, 0.5, -0.5, -1.0, 1.0, 5.0) == pytest.approx(1.0)
+        assert factor_matrix(scen, 5.0)[2, 3] == pytest.approx(1.0)
 
     def test_independent_rtn_mixed_element(self):
         scen = scenario_rtn(0.1)
         tau = 2.5
         # |00><11|: qubit sees D_2, qutrit sees D_1
-        got = element_factor(scen, 0.5, -0.5, 1.0, 0.0, tau)
+        got = factor_matrix(scen, tau)[0, 4]
         assert abs(got - rtn_dn(2, 0.1, tau) * rtn_dn(1, 0.1, tau)) < 1e-14
 
 
@@ -140,9 +151,9 @@ class TestBathGammaOncePerState:
         scen = scenario_composite(0.1)
         tau = 0.7
         g = bath_gamma(scen, tau)
-        for args in ((0.5, -0.5, 1, -1), (0.5, 0.5, 0, -1), (0.5, -0.5, 0, 0)):
-            assert (element_factor(scen, *args, tau, g)
-                    == element_factor(scen, *args, tau))
+        for delta in ((1.0, 2.0), (0.0, 1.0), (1.0, 0.0)):
+            assert (element_factor(scen, delta, tau, g)
+                    == element_factor(scen, delta, tau))
 
 
 class TestGoldenTables:
@@ -155,7 +166,7 @@ class TestGoldenTables:
         for tau in (0.1, 0.5, 1.7):
             g = bath_gamma(scen, tau)
             got = evolve(scen, initial_pure(QUBIT_QUTRIT, self.PHI), tau)
-            assert np.abs(got.base.matrix
+            assert np.abs(got.matrix
                           - golden_pure_squeezed(g, self.PHI)).max() < 1e-12
 
     def test_pure_rtn_independent(self):
@@ -163,7 +174,7 @@ class TestGoldenTables:
         for tau in (0.5, 4.0, 15.0):
             d1, d2 = rtn_dn(1, 0.1, tau), rtn_dn(2, 0.1, tau)
             got = evolve(scen, initial_pure(QUBIT_QUTRIT, self.PHI), tau)
-            assert np.abs(got.base.matrix
+            assert np.abs(got.matrix
                           - golden_pure_rtn_independent(d1, d2, self.PHI)).max() < 1e-12
 
     def test_pure_rtn_common(self):
@@ -171,7 +182,7 @@ class TestGoldenTables:
         for tau in (0.5, 4.0, 15.0):
             d = [rtn_dn(n, 0.1, tau) for n in (1, 2, 3, 4)]
             got = evolve(scen, initial_pure(QUBIT_QUTRIT, self.PHI), tau)
-            assert np.abs(got.base.matrix
+            assert np.abs(got.matrix
                           - golden_pure_rtn_common(*d, self.PHI)).max() < 1e-12
 
     def test_pure_composite(self):
@@ -180,7 +191,7 @@ class TestGoldenTables:
             g = bath_gamma(scen, tau)
             d2 = rtn_dn(2, 0.1, 100.0 * tau)
             got = evolve(scen, initial_pure(QUBIT_QUTRIT, self.PHI), tau)
-            assert np.abs(got.base.matrix
+            assert np.abs(got.matrix
                           - golden_pure_composite(d2, g, self.PHI)).max() < 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.4])
@@ -209,9 +220,9 @@ class TestGoldenTables:
 class TestEvolutionProperties:
     def test_t0_identity(self, all_qubit_qutrit_scenarios):
         for scen in all_qubit_qutrit_scenarios.values():
-            fam0 = initial_pure(QUBIT_QUTRIT, 0.4)
-            out = evolve(scen, fam0, 0.0)
-            assert np.allclose(out.base.matrix, fam0.base.matrix, atol=1e-14)
+            rho0 = initial_pure(QUBIT_QUTRIT, 0.4)
+            out = evolve(scen, rho0, 0.0)
+            assert np.allclose(out.matrix, rho0.matrix, atol=1e-14)
 
     def test_diagonal_preserved(self, all_qubit_qutrit_scenarios):
         for scen in all_qubit_qutrit_scenarios.values():
@@ -222,18 +233,19 @@ class TestEvolutionProperties:
     def test_positivity_on_grid(self, all_qubit_qutrit_scenarios):
         for scen in all_qubit_qutrit_scenarios.values():
             for tau in np.linspace(0, 3, 12):
-                fam = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
+                rho = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
                 # DensityMatrix construction enforces min eigenvalue >= -1e-9
-                assert hermitian_eigenvalues(fam.base.matrix)[-1] >= -1e-9
+                assert hermitian_eigenvalues(rho.matrix)[-1] >= -1e-9
 
     def test_phi_covariance(self, all_qubit_qutrit_scenarios):
         # evolving then shifting phi equals shifting then evolving
         for scen in all_qubit_qutrit_scenarios.values():
             tau, phi0, phi1 = 1.2, 0.3, 2.1
             shifted_then_evolved = evolve(
-                scen, initial_pure(QUBIT_QUTRIT, phi1), tau).base.matrix
+                scen, initial_pure(QUBIT_QUTRIT, phi1), tau).matrix
             evolved_then_shifted = evolve(
-                scen, initial_pure(QUBIT_QUTRIT, phi0), tau).at_phi(phi1)
+                scen, initial_pure(QUBIT_QUTRIT, phi0), tau).matrix * np.exp(
+                    1j * first_ket_mask(6) * (phi1 - phi0))
             assert np.abs(shifted_then_evolved - evolved_then_shifted).max() < 1e-12
 
     def test_common_rtn_p0_time_invariant(self):
@@ -244,7 +256,129 @@ class TestEvolutionProperties:
             assert np.linalg.norm(drift) / np.sqrt(2) < 1e-12
 
     def test_unsupported_layout(self):
-        from hsswitness.decoherence import RtnParams
-        from hsswitness.dynamics import RtnIndependent
+        # the independent-telegraph couplings name two spins
         with pytest.raises(UnsupportedScenario):
-            Scenario(SpinLayout((1.5,)), RtnIndependent(RtnParams(1.0, 0.1)))
+            Scenario(SpinLayout((1.5,)), Environment(
+                rtn=RtnParams(1.0, 0.1), rtn_couplings=((2, 0), (0, 1))))
+
+
+class TestEnvironmentChecks:
+    TELEGRAPH = RtnParams(1.0, 0.1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"bath_couplings": ((1, 0),)},
+        {"rtn": TELEGRAPH},
+        {"rtn": TELEGRAPH, "rtn_couplings": ((1.5, 0),)},
+        {"rtn": TELEGRAPH, "rtn_couplings": ((float("nan"), 0),)},
+        {"rtn": TELEGRAPH, "rtn_couplings": ("ab",)},
+        {"rtn": TELEGRAPH, "rtn_couplings": ((2, 1),), "nu_ratio": 0.0},
+        {"rtn": TELEGRAPH, "rtn_couplings": ((2, 1),), "nu_ratio": float("inf")},
+        {"rtn": TELEGRAPH, "rtn_couplings": ((2, 1),), "nu_ratio": float("nan")},
+    ], ids=["no-coupling", "bath-couplings-without-bath", "rtn-without-couplings",
+            "fractional", "nan", "string", "nu_ratio-zero", "nu_ratio-inf",
+            "nu_ratio-nan"])
+    def test_rejected(self, kwargs):
+        with pytest.raises(InvalidParams):
+            Environment(**kwargs)
+
+    def test_integer_valued_floats_accepted(self):
+        env = Environment(rtn=self.TELEGRAPH, rtn_couplings=((2.0, 1.0),))
+        assert env.rtn_couplings == ((2, 1),)
+
+    def test_coupling_length_must_match_layout(self):
+        env = Environment(bath=figure_bath(), bath_couplings=((1,),))
+        with pytest.raises(UnsupportedScenario):
+            Scenario(QUBIT_QUTRIT, env)
+
+    def test_three_spins_rejected(self):
+        env = Environment(bath=figure_bath(),
+                          bath_couplings=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(UnsupportedScenario):
+            Scenario(SpinLayout((0.5, 0.5, 0.5)), env)
+
+    def test_evolve_needs_the_layout_dims(self):
+        # a spin-5/2 has the mixed state's 6 levels but not its two subsystems
+        with pytest.raises(UnsupportedScenario):
+            evolve(qudit_scenario(2.5), initial_mixed(0.3), 1.0)
+
+
+def spin_z(s):
+    return np.diag(np.arange(s, -s - 1, -1))
+
+
+def label_gaps(*terms):
+    """E_n - E_m of H = sum of kron products, one (factors...) tuple per term."""
+    e = np.diag(sum(functools.reduce(np.kron, factors) for factors in terms))
+    return e[:, None] - e[None, :]
+
+
+def oracle_factors(scen, tau, bath_gaps, rtn_gaps, nu_ratio=1.0):
+    """exp(-Gamma sum (E_n - E_m)^2) * prod D_|E_n - E_m| from brute-force spectra."""
+    d = scen.layout.dim
+    out = np.ones((d, d))
+    if bath_gaps:
+        out *= np.exp(-bath_gamma(scen, tau) * sum(g**2 for g in bath_gaps))
+    q = scen.environment.rtn.q if rtn_gaps else None
+    for gaps in rtn_gaps:
+        for i in range(d):
+            for j in range(d):
+                k = int(round(abs(gaps[i, j])))
+                if k:
+                    out[i, j] *= rtn_dn(k, q, nu_ratio * tau)
+    return out
+
+
+class TestCouplingOracle:
+    """factor_matrix against H = sum_p c_p S_z^(p) built with np.kron."""
+
+    TAUS = (0.3, 1.7, 6.0)
+
+    @pytest.mark.parametrize("q", [0.37, 7.3])
+    @pytest.mark.parametrize("kind", ["squeezed", "thermal", "rtn_independent",
+                                      "rtn_common", "composite"])
+    def test_qubit_qutrit_kinds(self, kind, q):
+        from hsswitness.cli import load_config
+        spec = {"kind": kind}
+        if kind.startswith("rtn") or kind == "composite":
+            spec["q"] = q
+        scen = load_config(kind, {"scenario": spec}).scenario
+        sigma_z, sz2, i2 = 2 * spin_z(0.5), spin_z(0.5), np.eye(2)
+        sz3, i3 = spin_z(1), np.eye(3)
+        qubit, qutrit = label_gaps((sz2, i3)), label_gaps((i2, sz3))
+        # the qubit couples to telegraph noise through sigma_z = 2 S_z
+        rows = {
+            "squeezed": ([qubit, qutrit], []),
+            "thermal": ([qubit, qutrit], []),
+            "rtn_independent": ([], [label_gaps((sigma_z, i3)), qutrit]),
+            "rtn_common": ([], [label_gaps((sigma_z, i3), (i2, sz3))]),
+            "composite": ([qutrit], [label_gaps((sigma_z, i3))]),
+        }
+        bath_gaps, rtn_gaps = rows[kind]
+        nu_ratio = 100.0 if kind == "composite" else 1.0
+        for tau in self.TAUS:
+            want = oracle_factors(scen, tau, bath_gaps, rtn_gaps, nu_ratio)
+            assert np.abs(factor_matrix(scen, tau) - want).max() < 1e-14
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_qudits(self, s):
+        gaps = label_gaps((spin_z(s),))
+        bath = Scenario(SpinLayout((s,)), Environment(
+            bath=figure_bath(), bath_couplings=((1,),)))
+        telegraph = Scenario(SpinLayout((s,)), Environment(
+            rtn=RtnParams(1.0, 0.37), rtn_couplings=((1,),)))
+        for tau in self.TAUS:
+            assert np.abs(factor_matrix(bath, tau)
+                          - oracle_factors(bath, tau, [gaps], [])).max() < 1e-14
+            assert np.abs(factor_matrix(telegraph, tau)
+                          - oracle_factors(telegraph, tau, [], [gaps])).max() < 1e-14
+
+    @pytest.mark.parametrize("s", [0.5, 1.0], ids=["qubit-qubit", "qutrit-qutrit"])
+    def test_equal_spin_pairs(self, s):
+        scen = Scenario(SpinLayout((s, s)), Environment(
+            bath=figure_bath(), bath_couplings=((1, 0), (0, 1))))
+        sz, eye = spin_z(s), np.eye(int(2 * s) + 1)
+        gaps = [label_gaps((sz, eye)), label_gaps((eye, sz))]
+        for tau in self.TAUS:
+            assert np.abs(factor_matrix(scen, tau)
+                          - oracle_factors(scen, tau, gaps, [])).max() < 1e-14

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hsswitness.errors import BadSubsystemIndex, NotDensityMatrix, NotHermitian
-from hsswitness.hilbert import (DensityMatrix, PhiFamily,
-                                hermitian_eigenvalues, partial_trace,
-                                partial_transpose, von_neumann_entropy)
+from hsswitness.hilbert import (DensityMatrix, hermitian_eigenvalues,
+                                partial_trace, partial_transpose,
+                                von_neumann_entropy)
 
 
 def bell_like_00_12():
@@ -95,8 +95,7 @@ class TestPartialTrace:
         # direct 6x6 partial trace by hand: off-diagonal (e^{i phi} + 2)/6
         from hsswitness.dynamics import QUBIT_QUTRIT, initial_pure
         phi = 0.9
-        fam = initial_pure(QUBIT_QUTRIT, phi)
-        red = partial_trace(fam.base, 0).matrix
+        red = partial_trace(initial_pure(QUBIT_QUTRIT, phi), 0).matrix
         assert abs(red[0, 0] - 0.5) < 1e-14
         assert abs(red[0, 1] - (np.exp(1j * phi) + 2) / 6) < 1e-14
 
@@ -161,8 +160,3 @@ class TestDensityMatrixInvariants:
     def test_rejects_negative(self):
         with pytest.raises(NotDensityMatrix):
             DensityMatrix(np.diag([1.5, -0.5]), (2,))
-
-    def test_phase_mask_validation(self):
-        base = DensityMatrix(np.eye(2) / 2, (2,))
-        with pytest.raises(ValueError):
-            PhiFamily(base, np.array([[0, 1], [1, 0]]))

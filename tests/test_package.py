@@ -13,10 +13,14 @@ DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 #: oracles and test-only helpers that live outside the package namespace
 NOT_EXPORTED = ("chi_qudit_closed", "hss_finite_difference", "trace_norm",
                 "hs_distance")
+#: names deleted from the library: the per-kind environment classes and the
+#: phase-family wrapper, replaced by Environment and DensityMatrix
+DELETED = ("ThermalOhmic", "SqueezedVacuum", "RtnIndependent", "RtnCommon",
+           "CompositeRtnSqueezed", "PhiFamily")
 
 
 def test_all_names_resolve():
-    assert len(hsswitness.__all__) <= 30
+    assert len(hsswitness.__all__) <= 26
     assert len(set(hsswitness.__all__)) == len(hsswitness.__all__)
     for name in hsswitness.__all__:
         getattr(hsswitness, name)
@@ -26,6 +30,13 @@ def test_all_names_resolve():
 def test_oracles_not_exported(name):
     assert name not in hsswitness.__all__
     assert not hasattr(hsswitness, name)
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_names_are_gone(name):
+    from hsswitness import dynamics, hilbert
+    for module in (hsswitness, dynamics, hilbert):
+        assert not hasattr(module, name)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

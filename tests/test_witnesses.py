@@ -14,13 +14,16 @@ from hsswitness.witnesses import (WitnessSeries, chi_series, compute_series,
                                   negativity, negativity_closed)
 
 SQRT5_OVER_6 = np.sqrt(5.0) / 6.0
+#: the closed-form topology of each scenario of all_qubit_qutrit_scenarios
+TOPOLOGY = {"squeezed": "independent", "rtn-independent": "independent",
+            "rtn-common": "common", "composite": "composite"}
 
 
 class TestHss:
     def test_initial_value_anchor(self, all_qubit_qutrit_scenarios):
         for scen in all_qubit_qutrit_scenarios.values():
-            fam = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), 0.0)
-            assert abs(hss(fam) - SQRT5_OVER_6) < 1e-12
+            rho = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), 0.0)
+            assert abs(hss(rho) - SQRT5_OVER_6) < 1e-12
 
     def test_phi_independent(self, all_qubit_qutrit_scenarios):
         scen = next(iter(all_qubit_qutrit_scenarios.values()))
@@ -31,15 +34,15 @@ class TestHss:
     def test_qudit_spin_half_closed_form(self, qudit_half):
         for tau in (0.0, 0.4, 1.5, 3.0):
             g = bath_gamma(qudit_half, tau)
-            fam = evolve(qudit_half, initial_pure(qudit_half.layout, 0.2), tau)
-            assert abs(hss(fam) - 0.5 * np.exp(-g)) < 1e-10
+            rho = evolve(qudit_half, initial_pure(qudit_half.layout, 0.2), tau)
+            assert abs(hss(rho) - 0.5 * np.exp(-g)) < 1e-10
 
     def test_matches_finite_difference(self, all_qubit_qutrit_scenarios):
         for scen in all_qubit_qutrit_scenarios.values():
             for tau in (0.0, 0.7, 2.5):
-                fam = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
+                rho = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
                 fd = hss_finite_difference(scen, tau, np.pi)
-                assert abs(hss(fam) - fd) < 1e-6
+                assert abs(hss(rho) - fd) < 1e-6
 
     def test_fd_phi_shift_invariant(self):
         scen = scenario_rtn(0.1)
@@ -70,8 +73,8 @@ class TestHss:
                                      all_qubit_qutrit_scenarios):
         scen = all_qubit_qutrit_scenarios[name]
         for tau in (0.0, 0.4, 1.1, 2.8):
-            fam = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
-            assert abs(hss(fam) - builder(scen, tau)) < 1e-12
+            rho = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
+            assert abs(hss(rho) - builder(scen, tau)) < 1e-12
 
 
 class TestChi:
@@ -146,7 +149,7 @@ class TestNegativity:
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.4])
     def test_closed_form_all_scenarios(self, p, all_qubit_qutrit_scenarios):
         for name, scen in all_qubit_qutrit_scenarios.items():
-            topo = scen.topology
+            topo = TOPOLOGY[name]
             for tau in (0.0, 0.6, 2.2):
                 F = mixed_coherence_factor(scen, tau)
                 got = negativity(evolve(scen, initial_mixed(p), tau))
@@ -175,11 +178,11 @@ class TestMid:
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.4])
     def test_closed_form_all_scenarios(self, p, all_qubit_qutrit_scenarios):
-        for scen in all_qubit_qutrit_scenarios.values():
+        for name, scen in all_qubit_qutrit_scenarios.items():
             for tau in (0.0, 0.6, 2.2):
                 F = mixed_coherence_factor(scen, tau)
                 got = mid(evolve(scen, initial_mixed(p), tau))
-                assert abs(got - mid_closed(p, F, scen.topology)) < 1e-10
+                assert abs(got - mid_closed(p, F, TOPOLOGY[name])) < 1e-10
 
     def test_closed_form_anchors(self):
         assert abs(mid_closed(0.0, 1.0, "independent") - 1.0) < 1e-14
@@ -228,9 +231,11 @@ class TestContractivity:
 
         from hsswitness.decoherence import (OhmicSpectralDensity,
                                             ThermalBathParams)
-        from hsswitness.dynamics import Scenario, ThermalOhmic
-        scen = Scenario(QUBIT_QUTRIT, ThermalOhmic(ThermalBathParams(
-            OhmicSpectralDensity(0.1, 1.0, 20.0), temperature=1.0)))
+        from hsswitness.dynamics import Environment, Scenario
+        scen = Scenario(QUBIT_QUTRIT, Environment(
+            bath=ThermalBathParams(OhmicSpectralDensity(0.1, 1.0, 20.0),
+                                   temperature=1.0),
+            bath_couplings=((1, 0), (0, 1))))
         tgrid = np.linspace(0, 3, 100)
         hvals = [hss(evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), t))
                  for t in tgrid]

@@ -187,12 +187,9 @@ def load_config(name: str, raw: dict) -> RunConfig:
 
 
 def series_to_csv(series: WitnessSeries) -> str:
-    lines = ["tau,hss,chi,negativity,mid"]
-    for k in range(series.tau_grid.size):
-        lines.append(",".join(format(v, ".12g") for v in (
-            series.tau_grid[k], series.hss[k], series.chi[k],
-            series.negativity[k], series.mid[k])))
-    return "\n".join(lines) + "\n"
+    rows = zip(series.tau_grid, series.hss, series.chi, series.negativity, series.mid)
+    return "".join(["tau,hss,chi,negativity,mid\n"] + [
+        ",".join(format(v, ".12g") for v in row) + "\n" for row in rows])
 
 
 def run_config(config: RunConfig, out_dir: Path) -> WitnessSeries:

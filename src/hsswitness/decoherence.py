@@ -205,30 +205,35 @@ def gamma_squeezed(t, params: SqueezedBathParams) -> float | np.ndarray:
     return float(out) if t.ndim == 0 else out
 
 
-def rtn_dn(n: int, q: float, tau: float) -> float:
+def rtn_dn(n: int, q: float, tau) -> float | np.ndarray:
     """Closed-form telegraph-noise average D_n(tau) = <cos(n * theta(tau))>.
 
     Piecewise: hyperbolic for q > n, trigonometric for q < n, and the
     analytic degenerate limit exp(-q tau) (1 + q tau) on the q = n seam.
+    The branch depends on (n, q) only, so a grid of tau >= 0 is one call;
+    D_n(0) = 1.  A float for scalar tau, else an array of tau's shape.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParams("n must be a positive integer")
-    if not (0 <= q < math.inf and 0 <= tau < math.inf):
+    t = np.asarray(tau, dtype=float)
+    if not (0 <= q < math.inf and np.all((0 <= t) & (t < math.inf))):
         raise InvalidParams("q and tau must be finite and >= 0")
-    if tau == 0.0:
-        return 1.0
+    out = np.ones(t.shape)
+    moving = t > 0.0
+    t = t[moving]
     if abs(q - n) < RTN_SEAM:
-        return math.exp(-q * tau) * (1.0 + q * tau)
-    if q > n:
+        out[moving] = np.exp(-q * t) * (1.0 + q * t)
+    elif q > n:
         # q * q would overflow above q ~ 1.3e154
         xi = math.sqrt(q - n) * math.sqrt(q + n)
         # rewrite e^{-q tau} cosh/sinh in stable exponential form
-        ep = math.exp(-n * n / (xi + q) * tau)  # xi - q without cancellation
-        em = math.exp((-xi - q) * tau)
-        return 0.5 * (ep + em) + (q / xi) * 0.5 * (ep - em)
-    xi = math.sqrt(n * n - q * q)
-    return math.exp(-q * tau) * (math.cos(xi * tau)
-                                 + (q / xi) * math.sin(xi * tau))
+        ep = np.exp(-n * n / (xi + q) * t)  # xi - q without cancellation
+        em = np.exp((-xi - q) * t)
+        out[moving] = 0.5 * (ep + em) + (q / xi) * 0.5 * (ep - em)
+    else:
+        xi = math.sqrt(n * n - q * q)
+        out[moving] = np.exp(-q * t) * (np.cos(xi * t) + (q / xi) * np.sin(xi * t))
+    return float(out) if out.ndim == 0 else out
 
 
 _MC_CHUNK = 20_000

@@ -18,6 +18,10 @@ the telegraph process, and D_0 := 1.  The paper's kinds are rows of couplings:
   block) are decoherence free;
 * composite: telegraph noise on (2, 0), squeezed reservoir on (0, 1).
 
+``factor_matrix`` evaluates it on a whole array of tau: integer tables of
+sum_bath (c . Delta)^2 and |c . Delta| index one Gamma and one D_1 ... D_max
+per time, with no Python loop over elements.
+
 Dimensionless time conventions: tau = omega_0 * t for quantum baths,
 tau = nu * t for telegraph-only scenarios.  The composite scenario uses
 tau = omega_0 * t and evaluates the telegraph averages at nu_ratio * tau.
@@ -25,9 +29,7 @@ tau = omega_0 * t and evaluates the telegraph averages at nu_ratio * tau.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,8 +134,8 @@ class Scenario:
                     f"coupling {c} does not fit a layout of {n} spin(s)")
 
 
-def bath_gamma(scenario: Scenario, tau: float) -> float:
-    """Quantum-bath decoherence exponent of the scenario at scaled time tau."""
+def bath_gamma(scenario: Scenario, tau) -> float | np.ndarray:
+    """Quantum-bath decoherence exponent of the scenario at scaled time(s) tau."""
     bath = scenario.environment.bath
     if bath is None:
         raise UnsupportedScenario("scenario has no quantum bath")
@@ -152,12 +154,6 @@ def initial_pure(layout: SpinLayout, phi: float) -> DensityMatrix:
     return DensityMatrix(np.outer(amps, amps.conj()), layout.dims)
 
 
-def _bell_like(i: int, j: int) -> np.ndarray:
-    v = np.zeros(6, dtype=complex)
-    v[i] = v[j] = 1.0 / np.sqrt(2.0)
-    return np.outer(v, v.conj())
-
-
 def initial_mixed(p: float) -> DensityMatrix:
     """One-parameter qubit-qutrit mixed state.
 
@@ -167,75 +163,63 @@ def initial_mixed(p: float) -> DensityMatrix:
     """
     if not 0.0 <= p <= 0.5:
         raise InvalidP(f"p={p} outside [0, 1/2]")
-    rho = np.zeros((6, 6), dtype=complex)
-    rho[1, 1] += p / 2.0
-    rho[4, 4] += p / 2.0
-    rho += p * _bell_like(0, 5)
-    rho += (1.0 - 2.0 * p) * _bell_like(2, 3)
+    rho = np.diag([p, p, 1.0 - 2.0 * p, 1.0 - 2.0 * p, p, p]) / 2.0 + 0j
+    rho[0, 5] = rho[5, 0] = p / 2.0
+    rho[2, 3] = rho[3, 2] = (1.0 - 2.0 * p) / 2.0
     return DensityMatrix(rho, (2, 3))
 
 
 # --- dephasing factors -------------------------------------------------------
 
-def _winding(c: tuple, delta: tuple) -> float:
-    return sum(map(operator.mul, c, delta))
+def _windings(layout: SpinLayout, couplings: tuple) -> np.ndarray:
+    """c . Delta of every element (n, m), one (d, d) integer table per vector c.
 
-
-def element_factor(scenario: Scenario, delta: tuple, tau: float,
-                   gamma: float | None = None) -> float:
-    """Damping factor of a matrix element whose z labels differ by ``delta``.
-
-    exp(-gamma * sum_bath (c . delta)^2) * prod_rtn D_|c . delta|(nu_ratio tau),
-    with D_0 = 1.  ``gamma`` is the bath exponent at tau, when the caller
-    has it already.
+    Delta = z_n - z_m per spin; with z = s - digit it is digit_m - digit_n,
+    the digits of each ket in the order of the tensor product.
     """
-    env = scenario.environment
-    f = 1.0
+    digits = np.indices(layout.dims).reshape(len(layout.dims), -1)
+    delta = digits[:, None, :] - digits[:, :, None]
+    return np.tensordot(np.array(couplings, dtype=int), delta, axes=1)
+
+
+def factor_matrix(scenario: Scenario, tau) -> np.ndarray:
+    """Entrywise damping factors at time(s) tau: (d, d), or tau's shape + (d, d).
+
+    exp(-Gamma W) * prod_rtn D_K with the integer tables W = sum_bath (c . Delta)^2
+    and K = |c . Delta|; Gamma and D_1 ... D_max K are evaluated once on all of tau."""
+    env, layout = scenario.environment, scenario.layout
+    t = np.asarray(tau, dtype=float)
+    out = np.ones(t.shape + (layout.dim, layout.dim))
     if env.bath is not None:
-        if gamma is None:
-            gamma = bath_gamma(scenario, tau)
-        windings = sum(_winding(c, delta) ** 2 for c in env.bath_couplings)
-        f = float(np.exp(-windings * gamma))
-    for c in env.rtn_couplings:
-        k = abs(int(round(_winding(c, delta))))
-        if k:
-            f *= rtn_dn(k, env.rtn.q, env.nu_ratio * tau)
-    return f
-
-
-def factor_matrix(scenario: Scenario, tau: float) -> np.ndarray:
-    """Entrywise damping factors for the scenario at time tau.
-
-    The bath exponent, if the scenario has a bath, is evaluated once here.
-    """
-    layout = scenario.layout
-    g = None if scenario.environment.bath is None else bath_gamma(scenario, tau)
-    # the z labels of each basis ket, in the order of the tensor product
-    kets = list(itertools.product(*map(layout.z_labels, range(len(layout.spins)))))
-    d = len(kets)
-    out = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            delta = tuple(a - b for a, b in zip(kets[i], kets[j]))
-            out[i, j] = out[j, i] = element_factor(scenario, delta, tau, g)
+        W = (_windings(layout, env.bath_couplings) ** 2).sum(0)
+        out = np.exp(-np.multiply.outer(bath_gamma(scenario, t), W))
+    if env.rtn is not None:
+        K = np.abs(_windings(layout, env.rtn_couplings))
+        D = np.stack([np.ones(t.shape)] + [
+            rtn_dn(k, env.rtn.q, env.nu_ratio * t) for k in range(1, K.max() + 1)],
+            axis=-1)
+        for k in K:
+            out = out * D[..., k]
     return out
 
 
-def evolve(scenario: Scenario, rho: DensityMatrix, tau: float) -> DensityMatrix:
-    """Entrywise dephasing of a state of the scenario's layout at time tau."""
+def evolve(scenario: Scenario, rho: DensityMatrix, tau) -> DensityMatrix:
+    """Entrywise dephasing of a state of the scenario's layout at time(s) tau
+    (an array of tau gives the stack of evolved states, checked as one)."""
     if rho.dims != scenario.layout.dims:
         raise UnsupportedScenario(
             f"state dims {rho.dims} do not match the layout {scenario.layout.dims}")
     return DensityMatrix(rho.matrix * factor_matrix(scenario, tau), rho.dims)
 
 
-def mixed_coherence_factor(scenario: Scenario, tau: float) -> float:
+def mixed_coherence_factor(scenario: Scenario, tau) -> float | np.ndarray:
     """The scalar F damping the mixed state's coherences: the |00><12| entry.
 
     F = exp(-5 gamma) for independent baths, D_2^2 for independent
     telegraph noise, D_4 for a common telegraph source, and
-    D_2 * exp(-4 gamma) in the composite scenario.
+    D_2 * exp(-4 gamma) in the composite scenario; an array for array tau.
     """
     if scenario.layout.dims != (2, 3):
         raise UnsupportedScenario("F is defined for the qubit-qutrit layout only")
-    return float(factor_matrix(scenario, tau)[0, 5])
+    F = factor_matrix(scenario, tau)[..., 0, 5]
+    return float(F) if F.ndim == 0 else F

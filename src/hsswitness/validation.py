@@ -271,13 +271,13 @@ def gamma_squeezed_quadrature(t: float, params: SqueezedBathParams) -> float:
 
 # --- HSS and chi oracles -------------------------------------------------------
 
-def hss_finite_difference(scenario: Scenario, tau: float, phi: float) -> float:
-    """Central-difference oracle for the HSS in phi, O(FD_STEP^2) accurate."""
+def hss_finite_difference(scenario: Scenario, tau, phi: float) -> float | np.ndarray:
+    """Central-difference HSS oracle in phi at time(s) tau, O(FD_STEP^2) accurate."""
     rp = evolve(scenario, initial_pure(scenario.layout, phi + FD_STEP), tau)
     rm = evolve(scenario, initial_pure(scenario.layout, phi - FD_STEP), tau)
     d = (rp.matrix - rm.matrix) / (2.0 * FD_STEP)
-    val = np.trace(d @ d).real / 2.0
-    return float(np.sqrt(max(val, 0.0)))
+    val = np.trace(d @ d, axis1=-2, axis2=-1).real / 2.0
+    return np.sqrt(np.maximum(val, 0.0))
 
 
 def chi_qudit_closed(s: float, gamma: float, dgamma_dt: float) -> float:
@@ -330,59 +330,55 @@ def qudit_scenario(s: float) -> Scenario:
 
 def check_golden_matrices(n_times: int = 20, seed: int = 7,
                           ) -> list[tuple[str, float]]:
-    """Max entrywise deviation of evolve() from each golden table."""
+    """Max entrywise deviation of stacked evolve() from each golden table."""
     rng = np.random.default_rng(seed)
     phi = np.pi / 3.0
-    results = []
+    pure0, mixed0 = initial_pure(QUBIT_QUTRIT, phi), initial_mixed(0.3)
+
+    def worst(scen, rho0, taus, want):
+        return float(np.abs(evolve(scen, rho0, taus).matrix - np.array(want)).max())
 
     sq = scenario_squeezed()
-    for tau in rng.uniform(0.05, 3.0, n_times):
-        g = bath_gamma(sq, tau)
-        got = evolve(sq, initial_pure(QUBIT_QUTRIT, phi), tau).matrix
-        results.append(("pure-squeezed",
-                        np.abs(got - golden_pure_squeezed(g, phi)).max()))
-        got = evolve(sq, initial_mixed(0.3), tau).matrix
-        results.append(("mixed-squeezed",
-                        np.abs(got - golden_mixed(0.3, np.exp(-5 * g))).max()))
+    taus = rng.uniform(0.05, 3.0, n_times)
+    g = bath_gamma(sq, taus)
+    results = [
+        ("pure-squeezed", worst(sq, pure0, taus,
+                                [golden_pure_squeezed(x, phi) for x in g])),
+        ("mixed-squeezed", worst(sq, mixed0, taus,
+                                 [golden_mixed(0.3, np.exp(-5 * x)) for x in g])),
+    ]
 
     q = 0.1
-    ind = scenario_rtn(q)
-    com = scenario_rtn(q, common=True)
-    for tau in rng.uniform(0.05, 30.0, n_times):
-        d = [rtn_dn(n, q, tau) for n in (1, 2, 3, 4)]
-        got = evolve(ind, initial_pure(QUBIT_QUTRIT, phi), tau).matrix
-        results.append(("pure-rtn-independent",
-                        np.abs(got - golden_pure_rtn_independent(d[0], d[1], phi)).max()))
-        got = evolve(ind, initial_mixed(0.3), tau).matrix
-        results.append(("mixed-rtn-independent",
-                        np.abs(got - golden_mixed(0.3, d[1] ** 2)).max()))
-        got = evolve(com, initial_pure(QUBIT_QUTRIT, phi), tau).matrix
-        results.append(("pure-rtn-common",
-                        np.abs(got - golden_pure_rtn_common(*d, phi)).max()))
-        got = evolve(com, initial_mixed(0.3), tau).matrix
-        results.append(("mixed-rtn-common",
-                        np.abs(got - golden_mixed_common(0.3, d[3])).max()))
+    ind, com = scenario_rtn(q), scenario_rtn(q, common=True)
+    taus = rng.uniform(0.05, 30.0, n_times)
+    d = np.transpose([rtn_dn(n, q, taus) for n in (1, 2, 3, 4)])
+    results += [
+        ("pure-rtn-independent", worst(ind, pure0, taus, [
+            golden_pure_rtn_independent(d1, d2, phi) for d1, d2, _, _ in d])),
+        ("mixed-rtn-independent", worst(ind, mixed0, taus, [
+            golden_mixed(0.3, d2 ** 2) for _, d2, _, _ in d])),
+        ("pure-rtn-common", worst(com, pure0, taus, [
+            golden_pure_rtn_common(*dk, phi) for dk in d])),
+        ("mixed-rtn-common", worst(com, mixed0, taus, [
+            golden_mixed_common(0.3, d4) for *_, d4 in d])),
+    ]
 
     comp = scenario_composite(q)
-    for tau in rng.uniform(0.05, 3.0, n_times):
-        g = bath_gamma(comp, tau)
-        d2 = rtn_dn(2, q, comp.environment.nu_ratio * tau)
-        got = evolve(comp, initial_pure(QUBIT_QUTRIT, phi), tau).matrix
-        results.append(("pure-composite",
-                        np.abs(got - golden_pure_composite(d2, g, phi)).max()))
-        got = evolve(comp, initial_mixed(0.3), tau).matrix
-        results.append(("mixed-composite",
-                        np.abs(got - golden_mixed(0.3, d2 * np.exp(-4 * g))).max()))
-
-    worst: dict[str, float] = {}
-    for name, dev in results:
-        worst[name] = max(worst.get(name, 0.0), float(dev))
-    return [(name, dev) for name, dev in worst.items()]
+    taus = rng.uniform(0.05, 3.0, n_times)
+    pairs = list(zip(rtn_dn(2, q, comp.environment.nu_ratio * taus),
+                     bath_gamma(comp, taus)))
+    results += [
+        ("pure-composite", worst(comp, pure0, taus, [
+            golden_pure_composite(d2, x, phi) for d2, x in pairs])),
+        ("mixed-composite", worst(comp, mixed0, taus, [
+            golden_mixed(0.3, d2 * np.exp(-4 * x)) for d2, x in pairs])),
+    ]
+    return results
 
 
 def check_closed_forms(p_values=(0.0, 0.1, 0.3, 0.4), n_times: int = 40,
                        ) -> list[tuple[str, float]]:
-    """Generic negativity/MID vs closed forms, and HSS vs finite differences."""
+    """Stacked negativity/MID vs closed forms, and HSS vs finite differences."""
     out = []
     cases = [
         ("squeezed", scenario_squeezed(), np.linspace(0.0, 3.0, n_times), "independent"),
@@ -390,21 +386,20 @@ def check_closed_forms(p_values=(0.0, 0.1, 0.3, 0.4), n_times: int = 40,
         ("rtn-common", scenario_rtn(0.1, common=True), np.linspace(0.0, 30.0, n_times), "common"),
         ("composite", scenario_composite(0.1), np.linspace(0.0, 3.0, n_times), "composite"),
     ]
+    pure0 = initial_pure(QUBIT_QUTRIT, np.pi)
     for name, scen, taus, topo in cases:
-        dev_n = dev_m = dev_h = 0.0
-        pure0 = initial_pure(QUBIT_QUTRIT, np.pi)
-        for tau in taus:
-            F = mixed_coherence_factor(scen, tau)
-            for p in p_values:
-                state = evolve(scen, initial_mixed(p), tau)
-                dev_n = max(dev_n, abs(negativity(state)
-                                       - negativity_closed(p, F, topo)))
-                dev_m = max(dev_m, abs(mid(state) - mid_closed(p, F, topo)))
-            dev_h = max(dev_h, abs(hss(evolve(scen, pure0, tau))
-                                   - hss_finite_difference(scen, tau, np.pi)))
-        out.append((f"negativity-closed/{name}", dev_n))
-        out.append((f"mid-closed/{name}", dev_m))
-        out.append((f"hss-fd/{name}", dev_h))
+        dev_n = dev_m = 0.0
+        factors = mixed_coherence_factor(scen, taus)
+        for p in p_values:
+            state = evolve(scen, initial_mixed(p), taus)
+            want_n = [negativity_closed(p, F, topo) for F in factors]
+            want_m = [mid_closed(p, F, topo) for F in factors]
+            dev_n = max(dev_n, np.abs(negativity(state) - want_n).max())
+            dev_m = max(dev_m, np.abs(mid(state) - want_m).max())
+        dev_h = np.abs(hss(evolve(scen, pure0, taus))
+                       - hss_finite_difference(scen, taus, np.pi)).max()
+        out += [(f"negativity-closed/{name}", float(dev_n)),
+                (f"mid-closed/{name}", float(dev_m)), (f"hss-fd/{name}", float(dev_h))]
     return out
 
 

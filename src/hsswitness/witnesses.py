@@ -6,6 +6,8 @@ flags non-Markovian intervals), the entanglement negativity, and the
 measurement-induced disturbance (MID).  Generic eigensolve paths are paired
 with the closed-form specializations valid for the implemented scenarios,
 and an extrema report aligning HSS revivals with those of negativity/MID.
+Every witness takes a single state or a stack of them; ``compute_series``
+evaluates the grid in fixed blocks of stacked states.
 """
 
 from __future__ import annotations
@@ -14,32 +16,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Scenario, evolve, initial_mixed, initial_pure
+from .dynamics import Scenario, factor_matrix, initial_mixed, initial_pure
 from .errors import InvalidParams, UnsupportedScenario
-from .hilbert import (DensityMatrix, hermitian_eigenvalues, partial_trace,
-                      partial_transpose, von_neumann_entropy)
+from .hilbert import (DensityMatrix, entropy_bits, hermitian_eigenvalues,
+                      partial_trace, partial_transpose, raise_first,
+                      spectrum_checks, symmetrized, von_neumann_entropy)
 
 EPS_CHI = 1e-8
 EPS_NEGATIVITY = 1e-6
 DEGENERACY_GAP = 1e-9
 PLATEAU_TOL = 1e-12
+#: matrix entries per stacked call of compute_series: 128 qubit-qutrit
+#: states, which bounds a series' memory whatever its grid
+BLOCK_ENTRIES = 128 * 36
 
 
 # --- Hilbert-Schmidt speed ----------------------------------------------------
 
-def hss(rho: DensityMatrix) -> float:
+def hss(rho: DensityMatrix) -> float | np.ndarray:
     """sqrt(Tr[(d rho / d phi)^2] / 2) for the phase phi on the first basis ket.
 
-    That phase winds entry (0, j) by +1 and entry (j, 0) by -1, so the
-    derivative is ``1j * mask * rho`` entrywise.
-    """
-    n = rho.dim
-    mask = np.zeros((n, n), dtype=int)
-    mask[0, 1:] = 1
-    mask[1:, 0] = -1
-    d = 1j * mask * rho.matrix
-    val = np.trace(d @ d).real / 2.0
-    return float(np.sqrt(max(val, 0.0)))
+    The phase winds entry (0, j) by +1 and (j, 0) by -1, so the trace is
+    2 sum_{j>=1} |rho_0j|^2: the HSS is read off the first row, with no
+    eigensolve.  An array for a stack of states."""
+    row = rho.matrix[..., 0, 1:]
+    return np.sqrt((row.real**2 + row.imag**2).sum(-1))
 
 
 def chi_series(hss_values, tau_grid) -> np.ndarray:
@@ -53,10 +54,10 @@ def chi_series(hss_values, tau_grid) -> np.ndarray:
 
 # --- negativity ---------------------------------------------------------------
 
-def negativity(rho: DensityMatrix) -> float:
+def negativity(rho: DensityMatrix) -> float | np.ndarray:
     """Sum of |negative eigenvalues| of the partial transpose w.r.t. A."""
     ev = hermitian_eigenvalues(partial_transpose(rho, 0))
-    return float(-ev[ev < 0].sum())
+    return -np.where(ev < 0.0, ev, 0.0).sum(-1)
 
 
 def negativity_closed(p: float, F: float, topology: str = "independent") -> float:
@@ -87,59 +88,62 @@ def negativity_closed(p: float, F: float, topology: str = "independent") -> floa
 
 # --- measurement-induced disturbance -------------------------------------------
 
-def _spectral_projectors(marginal: DensityMatrix) -> list[np.ndarray]:
-    """Rank-1 eigenprojectors with a deterministic degenerate tie-break.
+def _tie_break(ev: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Eigenbasis of one marginal with a deterministic degenerate tie-break.
 
     Within each degenerate cluster (eigenvalue gap < DEGENERACY_GAP) the
     eigenspace is re-orthonormalized against the computational basis:
     projections of e_0, e_1, ... onto the eigenspace are Gram-Schmidt
-    processed in index order.  This reproduces computational-basis
-    projectors whenever the marginal is diagonal.
+    processed in index order.  This reproduces the computational basis
+    whenever the marginal is diagonal.
     """
-    m = marginal.matrix
-    ev, vec = np.linalg.eigh((m + m.conj().T) / 2.0)
-    d = m.shape[0]
-    projs: list[np.ndarray] = []
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and ev[j] - ev[j - 1] < DEGENERACY_GAP:
-            j += 1
-        sub = vec[:, i:j]
-        P = sub @ sub.conj().T
+    out = np.empty_like(vec)
+    cluster = np.concatenate(([0], np.cumsum(np.diff(ev) >= DEGENERACY_GAP)))
+    for c in range(cluster[-1] + 1):
+        cols = np.flatnonzero(cluster == c)
+        P = vec[:, cols] @ vec[:, cols].conj().T
         basis: list[np.ndarray] = []
-        for k in range(d):
-            v = P @ np.eye(d, dtype=complex)[:, k]
+        for v in P.T:  # P e_k, k = 0, 1, ...
             for u in basis:
                 v = v - u * (u.conj() @ v)
             norm = np.linalg.norm(v)
             if norm > 1e-8:
                 basis.append(v / norm)
-            if len(basis) == j - i:
+            if len(basis) == cols.size:
                 break
-        projs.extend(np.outer(v, v.conj()) for v in basis)
-        i = j
-    return projs
+        out[:, cols] = np.transpose(basis)
+    return out
 
 
-def mid(rho: DensityMatrix) -> float:
+def _eigenbases(marginal: DensityMatrix) -> np.ndarray:
+    """Eigenvectors (columns) of each marginal of a stack, by one ``eigh``; the
+    tie-break runs only on degenerate marginals, once per distinct one."""
+    m = marginal.matrix.reshape(-1, *marginal.matrix.shape[-2:])
+    ev, vec = np.linalg.eigh(symmetrized(m))
+    done: dict[bytes, np.ndarray] = {}
+    for k in np.flatnonzero((np.diff(ev) < DEGENERACY_GAP).any(-1)):
+        key = m[k].tobytes()
+        if key not in done:
+            done[key] = _tie_break(ev[k], vec[k])
+        vec[k] = done[key]
+    return vec.reshape(marginal.matrix.shape)
+
+
+def mid(rho: DensityMatrix) -> float | np.ndarray:
     """Mutual-information loss under local measurements in the marginal eigenbases.
 
-    I(rho) - I(Pi(rho)) with Pi the dephasing in the product of the
-    marginals' spectral projectors.  Degenerate marginals use the
-    computational-basis-aligned tie-break of ``_spectral_projectors``.
-    """
-    pa = _spectral_projectors(partial_trace(rho, 0))
-    pb = _spectral_projectors(partial_trace(rho, 1))
-    m = rho.matrix
-    dephased = np.zeros_like(m)
-    for Pa in pa:
-        for Pb in pb:
-            P = np.kron(Pa, Pb)
-            dephased += P @ m @ P
-    pi_rho = DensityMatrix(dephased, rho.dims)
+    I(rho) - I(Pi(rho)) with Pi the dephasing in the product U = U_A (x) U_B
+    of the marginals' eigenbases (degenerate ones tie-broken by ``_tie_break``).
+    The spectrum of Pi(rho) is the diagonal of U^dagger rho U, checked like a
+    density matrix's."""
+    ua = _eigenbases(partial_trace(rho, 0))
+    ub = _eigenbases(partial_trace(rho, 1))
+    u = ua[..., :, None, :, None] * ub[..., None, :, None, :]  # U_A (x) U_B
+    u = u.reshape(rho.matrix.shape)
+    p = (u.conj() * (rho.matrix @ u)).sum(-2).real
+    raise_first(spectrum_checks(p.sum(-1), p.min(-1)))
     # the marginals are invariant under Pi, so I - I(Pi) = S(Pi(rho)) - S(rho)
-    return von_neumann_entropy(pi_rho) - von_neumann_entropy(rho)
+    return entropy_bits(p) - von_neumann_entropy(rho)
 
 
 def mid_closed(p: float, F: float, topology: str = "independent") -> float:
@@ -182,20 +186,10 @@ class WitnessSeries:
 
 def _intervals_where(mask: np.ndarray, grid: np.ndarray,
                      min_len: int = 1) -> tuple:
-    out = []
-    i = 0
-    n = mask.size
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            if j - i + 1 >= min_len:
-                out.append((float(grid[i]), float(grid[j])))
-            i = j + 1
-        else:
-            i += 1
-    return tuple(out)
+    """(first, last) grid value of each run of True in mask of >= min_len points."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(int), [0]))))
+    return tuple((float(grid[a]), float(grid[b - 1]))
+                 for a, b in zip(edges[::2], edges[1::2]) if b - a >= min_len)
 
 
 def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
@@ -207,25 +201,27 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
     state at phase ``phi``, mirroring how the quantifiers are compared in
     practice.  A single spin has no bipartition: under the trivial split
     both are exactly 0.
-    """
+
+    Each block of BLOCK_ENTRIES matrix entries evaluates the damping
+    factors once, for both families, and checks each family as one stack."""
     tau_grid = np.asarray(tau_grid, dtype=float)
-    bipartite = len(scenario.layout.spins) == 2
     if mixed_p is not None and scenario.layout.dims != (2, 3):
         raise UnsupportedScenario("mixed_p needs the qubit-qutrit layout")
     pure0 = initial_pure(scenario.layout, phi)
     corr0 = initial_mixed(mixed_p) if mixed_p is not None else None
 
-    hss_vals = np.empty(tau_grid.size)
-    neg_vals = np.zeros(tau_grid.size)
-    mid_vals = np.zeros(tau_grid.size)
-    for k, tau in enumerate(tau_grid):
-        pure = evolve(scenario, pure0, tau)
-        hss_vals[k] = hss(pure)
-        if not bipartite:
+    hss_vals, neg_vals, mid_vals = np.zeros((3, tau_grid.size))
+    step = max(1, BLOCK_ENTRIES // pure0.dim**2)
+    for start in range(0, tau_grid.size, step):
+        block = slice(start, start + step)
+        F = factor_matrix(scenario, tau_grid[block])
+        pure = DensityMatrix(pure0.matrix * F, pure0.dims)
+        hss_vals[block] = hss(pure)
+        if len(pure0.dims) == 1:
             continue
-        state = evolve(scenario, corr0, tau) if corr0 is not None else pure
-        neg_vals[k] = negativity(state)
-        mid_vals[k] = max(mid(state), 0.0)
+        state = pure if corr0 is None else DensityMatrix(corr0.matrix * F, corr0.dims)
+        neg_vals[block] = negativity(state)
+        mid_vals[block] = np.maximum(mid(state), 0.0)
     chi_vals = chi_series(hss_vals, tau_grid)
     intervals = _intervals_where(chi_vals > EPS_CHI, tau_grid)
     return WitnessSeries(tau_grid=tau_grid, hss=hss_vals, chi=chi_vals,

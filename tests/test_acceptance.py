@@ -65,16 +65,19 @@ def test_02_golden_matrices():
 
 
 def test_03_closed_form_equivalence():
+    # each scenario's grid is one stacked call of evolve and of each witness
     worst_nm = 0.0
     for scen, tau_max, topo in _scenarios().values():
-        for tau in np.linspace(0.0, tau_max, 600):
-            F = mixed_coherence_factor(scen, tau)
-            for p in (0.0, 0.1, 0.3, 0.4):
-                state = evolve(scen, initial_mixed(p), tau)
-                worst_nm = max(
-                    worst_nm,
-                    abs(negativity(state) - negativity_closed(p, F, topo)),
-                    abs(mid(state) - mid_closed(p, F, topo)))
+        grid = np.linspace(0.0, tau_max, 600)
+        factors = mixed_coherence_factor(scen, grid)
+        for p in (0.0, 0.1, 0.3, 0.4):
+            state = evolve(scen, initial_mixed(p), grid)
+            worst_nm = max(
+                worst_nm,
+                np.abs(negativity(state) - [negativity_closed(p, F, topo)
+                                            for F in factors]).max(),
+                np.abs(mid(state) - [mid_closed(p, F, topo)
+                                     for F in factors]).max())
 
     def printed_hss(name, scen, tau):
         if name == "squeezed":
@@ -91,11 +94,11 @@ def test_03_closed_form_equivalence():
     cases = _scenarios()
     for name in ("squeezed", "rtn-independent", "rtn-common"):
         scen, tau_max, _ = cases[name]
-        for tau in np.linspace(0.0, tau_max, 30):
-            rho = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
-            worst_h = max(worst_h,
-                          abs(hss(rho) - printed_hss(name, scen, tau)),
-                          abs(hss(rho) - hss_finite_difference(scen, tau, np.pi)))
+        grid = np.linspace(0.0, tau_max, 30)
+        got = hss(evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), grid))
+        worst_h = max(worst_h,
+                      np.abs(got - printed_hss(name, scen, grid)).max(),
+                      np.abs(got - hss_finite_difference(scen, grid, np.pi)).max())
     _report("closed-form equivalence",
             worst_nm < 1e-10 and worst_h < 1e-6,
             f"neg/MID dev {worst_nm:.1e}, HSS dev {worst_h:.1e}")

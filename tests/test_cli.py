@@ -142,6 +142,17 @@ class TestRun:
             want = np.sqrt(np.exp(-2 * k**2 * bath_gamma(scen, tau)).sum()) / 4
             assert abs(got - want) < 1e-10
 
+    def test_large_single_spin_run(self, tmp_path):
+        # a spin-50 qudit has 101 levels; one bath copy, no bipartition
+        config = load_config("spin50", tiny_config(
+            scenario={"kind": "squeezed", "spin": 50}, grid_points=32))
+        series = run_config(config, tmp_path)
+        assert np.all(series.negativity == 0.0) and np.all(series.mid == 0.0)
+        k = np.arange(1, 101)
+        gamma = bath_gamma(config.scenario, series.tau_grid)
+        want = np.sqrt(np.exp(-2 * k**2 * gamma[:, None]).sum(-1)) / 101
+        assert np.abs(series.hss - want).max() < 1e-12
+
     @pytest.mark.parametrize("raw", [
         [tiny_config()],
         tiny_config(scenario={"kind": "rtn_independent", "q": "abc"}),

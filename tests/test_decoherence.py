@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsswitness.decoherence import (OhmicSpectralDensity, RtnParams,
+from hsswitness.decoherence import (RTN_SEAM, OhmicSpectralDensity, RtnParams,
                                     SqueezedBathParams, ThermalBathParams,
                                     gamma_squeezed, gamma_thermal, rtn_dn,
                                     rtn_dn_montecarlo)
@@ -275,6 +275,25 @@ class TestRtnClosedForm:
             rtn_dn(0, 1.0, 1.0)
         with pytest.raises(InvalidParams):
             rtn_dn(1, -0.1, 1.0)
+
+    @pytest.mark.parametrize("regime,q", [("slow", 0.37), ("seam", None),
+                                          ("fast", 7.3)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_array_tau_equals_scalar_calls(self, n, regime, q):
+        # the seam regime sits inside |q - n| < RTN_SEAM
+        q = n + 0.4 * RTN_SEAM if q is None else q
+        taus = np.concatenate(([0.0], np.linspace(0.0, 40.0, 301)[1:], [1e-300]))
+        got = rtn_dn(n, q, taus)
+        assert got.shape == taus.shape and got[0] == 1.0
+        want = np.array([rtn_dn(n, q, float(t)) for t in taus])
+        assert np.array_equal(got, want)
+        assert np.array_equal(rtn_dn(n, q, taus.reshape(2, -1)),
+                              want.reshape(2, -1))
+
+    @pytest.mark.parametrize("bad", [-1.0, NAN, INF, -INF])
+    def test_array_tau_rejects_bad_entries(self, bad):
+        with pytest.raises(InvalidParams):
+            rtn_dn(2, 0.3, np.array([0.0, 1.0, bad, 2.0]))
 
 
 class TestRtnMonteCarlo:

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from hsswitness import dynamics
 from hsswitness.decoherence import RtnParams, gamma_squeezed, rtn_dn
 from hsswitness.dynamics import (QUBIT_QUTRIT, Environment, Scenario,
-                                 SpinLayout, bath_gamma, element_factor,
-                                 evolve, factor_matrix, initial_mixed,
-                                 initial_pure, mixed_coherence_factor)
+                                 SpinLayout, bath_gamma, evolve,
+                                 factor_matrix, initial_mixed, initial_pure,
+                                 mixed_coherence_factor)
 from hsswitness.errors import InvalidP, InvalidParams, UnsupportedScenario
 from hsswitness.hilbert import hermitian_eigenvalues
+from hsswitness.witnesses import BLOCK_ENTRIES, compute_series
 from hsswitness.validation import (golden_mixed, golden_mixed_common,
                                    golden_pure_composite,
                                    golden_pure_rtn_common,
@@ -128,14 +130,10 @@ class TestElementFactor:
 
 
 class TestBathGammaOncePerState:
-    """factor_matrix evaluates the bath exponent once, not once per element."""
+    """The bath exponent is evaluated once per state or per block of the grid."""
 
-    @pytest.mark.parametrize("make", [scenario_squeezed,
-                                      lambda: scenario_composite(0.1),
-                                      lambda: qudit_scenario(1.5)],
-                             ids=["squeezed", "composite", "spin-3/2"])
-    def test_one_call_per_evolve(self, monkeypatch, make):
-        scen = make()
+    @staticmethod
+    def count_gamma_calls(monkeypatch):
         calls = []
 
         def counted(t, params):
@@ -143,17 +141,33 @@ class TestBathGammaOncePerState:
             return gamma_squeezed(t, params)
 
         monkeypatch.setattr(dynamics, "gamma_squeezed", counted)
+        return calls
+
+    @pytest.mark.parametrize("make", [scenario_squeezed,
+                                      lambda: scenario_composite(0.1),
+                                      lambda: qudit_scenario(1.5)],
+                             ids=["squeezed", "composite", "spin-3/2"])
+    def test_one_call_per_evolve(self, monkeypatch, make):
+        scen = make()
+        calls = self.count_gamma_calls(monkeypatch)
         for k, tau in enumerate((0.4, 0.4, 1.1), start=1):
             evolve(scen, initial_pure(scen.layout, 0.3), tau)
             assert len(calls) == k
 
-    def test_element_factor_takes_gamma(self):
-        scen = scenario_composite(0.1)
-        tau = 0.7
-        g = bath_gamma(scen, tau)
-        for delta in ((1.0, 2.0), (0.0, 1.0), (1.0, 0.0)):
-            assert (element_factor(scen, delta, tau, g)
-                    == element_factor(scen, delta, tau))
+    @pytest.mark.parametrize("make,p", [
+        (scenario_squeezed, None), (scenario_squeezed, 0.3),
+        (lambda: scenario_composite(0.1), None),
+        (lambda: scenario_composite(0.1), 0.3),
+        (lambda: qudit_scenario(1.5), None)],
+        ids=["squeezed-pure", "squeezed-mixed", "composite-pure",
+             "composite-mixed", "spin-3/2-pure"])
+    def test_one_call_per_block(self, monkeypatch, make, p):
+        scen = make()
+        calls = self.count_gamma_calls(monkeypatch)
+        compute_series(scen, np.linspace(0.0, 3.0, 600), mixed_p=p)
+        block = BLOCK_ENTRIES // scen.layout.dim**2
+        assert len(calls) <= math.ceil(600 / block)
+        assert sum(np.size(t) for t in calls) == 600
 
 
 class TestGoldenTables:

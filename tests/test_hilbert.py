@@ -160,3 +160,42 @@ class TestDensityMatrixInvariants:
     def test_rejects_negative(self):
         with pytest.raises(NotDensityMatrix):
             DensityMatrix(np.diag([1.5, -0.5]), (2,))
+
+
+class TestStacks:
+    """A leading axis of states: every operation acts state by state."""
+
+    def test_operations_match_single_states(self, random_density_matrices):
+        stack = DensityMatrix(np.array([r.matrix for r in random_density_matrices]),
+                              (2, 3))
+        for k, rho in enumerate(random_density_matrices):
+            for sub in (0, 1):
+                assert np.array_equal(partial_transpose(stack, sub)[k],
+                                      partial_transpose(rho, sub))
+                assert np.abs(partial_trace(stack, sub).matrix[k]
+                              - partial_trace(rho, sub).matrix).max() < 1e-15
+            assert abs(von_neumann_entropy(stack)[k]
+                       - von_neumann_entropy(rho)) < 1e-12
+        assert hermitian_eigenvalues(stack.matrix).shape == (12, 6)
+
+    def test_first_failing_state_raises(self):
+        good, mixed = np.diag([0.5, 0.5]), np.diag([1.5, -0.5])
+        with pytest.raises(NotDensityMatrix, match="minimum eigenvalue -5.000e-01"):
+            DensityMatrix(np.array([good, mixed, 2 * good]), (2,))
+        with pytest.raises(NotDensityMatrix, match=r"trace \(2\+0j\) != 1"):
+            DensityMatrix(np.array([good, 2 * good, mixed]), (2,))
+
+    def test_first_failing_check_of_that_state(self):
+        # a state failing trace and positivity reports its trace, as alone
+        both = np.diag([2.0, -0.5])
+        with pytest.raises(NotDensityMatrix, match="trace"):
+            DensityMatrix(np.array([np.eye(2) / 2, both]), (2,))
+        # a later non-finite state does not mask an earlier failure
+        later = np.array([np.diag([1.5, -0.5]), np.full((2, 2), np.nan)])
+        with pytest.raises(NotDensityMatrix, match="minimum eigenvalue"):
+            DensityMatrix(later, (2,))
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(later[::-1], (2,))
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]])
+        with pytest.raises(NotHermitian, match="Hermiticity defect 1.000e-01"):
+            DensityMatrix(np.array([np.eye(2) / 2, skew]), (2,))

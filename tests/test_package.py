@@ -14,9 +14,12 @@ DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 NOT_EXPORTED = ("chi_qudit_closed", "hss_finite_difference", "trace_norm",
                 "hs_distance")
 #: names deleted from the library: the per-kind environment classes and the
-#: phase-family wrapper, replaced by Environment and DensityMatrix
+#: phase-family wrapper, replaced by Environment and DensityMatrix; the
+#: per-element factor and the single-matrix Hermiticity helpers, replaced by
+#: factor_matrix and the stacked checks of DensityMatrix
 DELETED = ("ThermalOhmic", "SqueezedVacuum", "RtnIndependent", "RtnCommon",
-           "CompositeRtnSqueezed", "PhiFamily")
+           "CompositeRtnSqueezed", "PhiFamily", "element_factor",
+           "herm_defect", "require_hermitian")
 
 
 def test_all_names_resolve():

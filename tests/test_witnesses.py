@@ -1,5 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from hsswitness import witnesses
+from hsswitness.cli import load_config
 
 from hsswitness.decoherence import rtn_dn
 from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, evolve,
@@ -7,7 +13,10 @@ from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, evolve,
                                  mixed_coherence_factor)
 from hsswitness.errors import UnsupportedScenario
 from hsswitness.hilbert import DensityMatrix
-from hsswitness.validation import (chi_qudit_closed, hss_finite_difference,
+from hsswitness.validation import (chi_qudit_closed, golden_pure_composite,
+                                   golden_pure_rtn_common,
+                                   golden_pure_rtn_independent,
+                                   golden_pure_squeezed, hss_finite_difference,
                                    qudit_scenario, scenario_rtn)
 from hsswitness.witnesses import (WitnessSeries, chi_series, compute_series,
                                   extrema_report, hss, mid, mid_closed,
@@ -122,6 +131,111 @@ class TestSeries:
         with pytest.raises(UnsupportedScenario):
             compute_series(qudit_scenario(spin), np.linspace(0, 1, 16),
                            mixed_p=0.3)
+
+    def test_stacked_witnesses_match_single_states(self, random_density_matrices):
+        states = random_density_matrices + [initial_mixed(0.3), initial_mixed(0.0)]
+        stack = DensityMatrix(np.array([r.matrix for r in states]), (2, 3))
+        for f in (hss, negativity, mid):
+            got = f(stack)
+            assert got.shape == (len(states),)
+            assert np.abs(got - [f(r) for r in states]).max() < 1e-12
+
+    def test_tie_break_once_per_distinct_marginal(self, monkeypatch):
+        # the mixed family's marginals are diagonal, degenerate and the same
+        # at every time: one Gram-Schmidt per marginal and block
+        calls = []
+        tie_break = witnesses._tie_break
+        monkeypatch.setattr(witnesses, "_tie_break",
+                            lambda ev, vec: calls.append(1) or tie_break(ev, vec))
+        compute_series(scenario_rtn(0.1), np.linspace(0, 30, 600), mixed_p=0.3)
+        assert 0 < len(calls) <= 2 * math.ceil(600 / (witnesses.BLOCK_ENTRIES // 36))
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # one unblocked (20000, 6, 6) complex stack alone would take 11.5 MB
+        scen = load_config("fig4", {"scenario": {"kind": "rtn_independent"}}).scenario
+        grid = np.linspace(0.0, 30.0, 20_000)
+        tracemalloc.start()
+        try:
+            compute_series(scen, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+def explicit_partial_transpose(m):
+    """<a b| rho^T_A |a' b'> = <a' b| rho |a b'>, entry by entry."""
+    out = np.empty_like(m)
+    for a in range(2):
+        for b in range(3):
+            for a2 in range(2):
+                for b2 in range(3):
+                    out[..., 3 * a + b, 3 * a2 + b2] = m[..., 3 * a2 + b, 3 * a + b2]
+    return out
+
+
+def golden_series(kind, scen, grid, phi):
+    """Golden pure states on the grid, the mixed-state F and its topology."""
+    env = scen.environment
+    g = bath_gamma(scen, grid) if env.bath is not None else None
+    d = {n: rtn_dn(n, env.rtn.q, env.nu_ratio * grid) for n in (1, 2, 3, 4)
+         } if env.rtn is not None else None
+    if kind in ("squeezed", "thermal"):
+        return ([golden_pure_squeezed(x, phi) for x in g], np.exp(-5 * g),
+                "independent")
+    if kind == "rtn_independent":
+        return ([golden_pure_rtn_independent(d1, d2, phi)
+                 for d1, d2 in zip(d[1], d[2])], d[2] ** 2, "independent")
+    if kind == "rtn_common":
+        return ([golden_pure_rtn_common(*dk, phi) for dk in zip(*d.values())],
+                d[4], "common")
+    return ([golden_pure_composite(d2, x, phi) for d2, x in zip(d[2], g)],
+            d[2] * np.exp(-4 * g), "composite")
+
+
+#: the five kinds; telegraph kinds at a slow and a fast switching rate
+SERIES_CASES = [("squeezed", None), ("thermal", None)] + [
+    (kind, q) for kind in ("rtn_independent", "rtn_common", "composite")
+    for q in (0.1, 7.3)]
+
+
+@pytest.mark.parametrize("p", [None, 0.3], ids=["pure", "mixed"])
+@pytest.mark.parametrize("kind,q", SERIES_CASES,
+                         ids=[f"{k}-q{q}" for k, q in SERIES_CASES])
+def test_series_against_oracles(kind, q, p):
+    """Every point of a 600-point series, across block boundaries."""
+    spec = {"kind": kind}
+    if q is not None:
+        spec["q"] = q
+    if kind == "thermal":
+        spec["temperature"] = 1.0
+    scen = load_config(kind, {"scenario": spec}).scenario
+    grid = np.linspace(0.0, 30.0 if kind.startswith("rtn") else 3.0, 600)
+    series = compute_series(scen, grid, mixed_p=p)
+
+    golden, factors, topo = golden_series(kind, scen, grid, np.pi)
+    golden = np.array(golden)
+    # the HSS from its definition, Tr[(d rho / d phi)^2] / 2
+    deriv = 1j * first_ket_mask(6) * golden
+    want = np.sqrt(np.trace(deriv @ deriv, axis1=-2, axis2=-1).real / 2)
+    assert np.abs(series.hss - want).max() < 1e-12
+    if p is None:
+        ev = np.linalg.eigvalsh(explicit_partial_transpose(golden))
+        want = -np.where(ev < 0, ev, 0.0).sum(-1)
+        assert np.abs(series.negativity - want).max() < 1e-12
+    else:
+        assert np.abs(series.negativity - [negativity_closed(p, F, topo)
+                                           for F in factors]).max() < 1e-10
+        assert np.abs(series.mid - [mid_closed(p, F, topo)
+                                    for F in factors]).max() < 1e-10
+
+
+def first_ket_mask(d):
+    """Winding of each entry under the phase on the first basis ket."""
+    mask = np.zeros((d, d))
+    mask[0, 1:] = 1
+    mask[1:, 0] = -1
+    return mask
 
 
 class TestNegativity:

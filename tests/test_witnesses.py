@@ -163,6 +163,14 @@ class TestSeries:
         assert peak < 8e6
 
 
+def first_ket_mask(d):
+    """Winding of each entry under the phase on the first basis ket."""
+    mask = np.zeros((d, d))
+    mask[0, 1:] = 1
+    mask[1:, 0] = -1
+    return mask
+
+
 def explicit_partial_transpose(m):
     """<a b| rho^T_A |a' b'> = <a' b| rho |a b'>, entry by entry."""
     out = np.empty_like(m)
@@ -228,14 +236,6 @@ def test_series_against_oracles(kind, q, p):
                                            for F in factors]).max() < 1e-10
         assert np.abs(series.mid - [mid_closed(p, F, topo)
                                     for F in factors]).max() < 1e-10
-
-
-def first_ket_mask(d):
-    """Winding of each entry under the phase on the first basis ket."""
-    mask = np.zeros((d, d))
-    mask[0, 1:] = 1
-    mask[1:, 0] = -1
-    return mask
 
 
 class TestNegativity:

@@ -3,12 +3,13 @@
 D_n(tau) = <exp(i n theta(tau))> over realizations of a two-state fluctuator
 has a piecewise hyperbolic/trigonometric closed form.  Here we average 10^5
 seeded trajectories and compare, reporting the deviation in standard errors.
-Results are deterministic for a fixed seed regardless of worker count.
+Results are deterministic for a fixed seed.
 
 Run:  python3 demos/telegraph_monte_carlo.py
 """
 
-from hsswitness import rtn_dn, rtn_dn_montecarlo
+from hsswitness import rtn_dn
+from hsswitness.validation import rtn_dn_montecarlo
 
 print(f"{'n':>2} {'q':>5} {'tau':>5} {'closed form':>12} "
       f"{'monte carlo':>12} {'std err':>9} {'sigma':>6}")

@@ -10,7 +10,7 @@ disturbance (MID).
 
 from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
                           ThermalBathParams, gamma_squeezed, gamma_thermal,
-                          rtn_dn, rtn_dn_montecarlo)
+                          rtn_dn)
 from .dynamics import (QUBIT_QUTRIT, Environment, Scenario, SpinLayout,
                        evolve, initial_mixed, initial_pure)
 from .hilbert import DensityMatrix
@@ -22,7 +22,6 @@ from .witnesses import (ExtremaReport, WitnessSeries, compute_series,
 __all__ = [
     "OhmicSpectralDensity", "RtnParams", "SqueezedBathParams",
     "ThermalBathParams", "gamma_squeezed", "gamma_thermal", "rtn_dn",
-    "rtn_dn_montecarlo",
     "QUBIT_QUTRIT", "Environment", "Scenario", "SpinLayout", "evolve",
     "initial_mixed", "initial_pure",
     "DensityMatrix", "series_svg",

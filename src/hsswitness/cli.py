@@ -16,7 +16,6 @@ Subcommands
     (q * tau <= 100, at most 10^6 trials).
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
-Set HSSWITNESS_WORKERS to parallelize Monte-Carlo chunks.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import validation
 from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
-                          ThermalBathParams, rtn_dn, rtn_dn_montecarlo)
+                          ThermalBathParams, rtn_dn)
 from .dynamics import QUBIT_QUTRIT, Environment, Scenario, SpinLayout
 from .errors import ConfigInvalid, HsswitnessError, InvalidParams
 from .plotting import series_svg
@@ -193,11 +192,11 @@ def series_to_csv(series: WitnessSeries) -> str:
 
 
 def run_config(config: RunConfig, out_dir: Path) -> WitnessSeries:
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out-dir fails fast
     grid = np.linspace(0.0, config.tau_max, config.grid_points)
     series = compute_series(config.scenario, grid, phi=config.phi,
                             mixed_p=config.p)
     report = extrema_report(series)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in config.outputs:
         (out_dir / f"{config.name}.csv").write_text(series_to_csv(series))
     if "svg" in config.outputs:
@@ -235,6 +234,10 @@ def _cmd_run(args) -> int:
         return 2
     try:
         run_config(config, Path(args.out_dir))
+    except OSError as exc:  # the output directory cannot be made or written
+        print(f"invalid configuration: cannot write output: {exc}",
+              file=sys.stderr)
+        return 2
     # overflow and non-finite matrix entries are numerical failures too
     except (HsswitnessError, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -243,7 +246,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    rows = validation.run_validation(trials=args.trials, seed=args.seed)
+    try:
+        rows = validation.run_validation(trials=args.trials, seed=args.seed)
+    except InvalidParams as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 2
     for passed, text in rows:
         print(f"[{'PASS' if passed else 'FAIL'}] {text}")
     ok = all(passed for passed, _ in rows)
@@ -253,8 +260,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle_dn(args) -> int:
     try:
-        mean, err = rtn_dn_montecarlo(args.n, args.q, args.tau,
-                                      args.trials, args.seed)
+        mean, err = validation.rtn_dn_montecarlo(args.n, args.q, args.tau,
+                                                 args.trials, args.seed)
         exact = rtn_dn(args.n, args.q, args.tau)
     except InvalidParams as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

@@ -7,8 +7,7 @@
 * ``gamma_squeezed`` -- the same for a squeezed vacuum reservoir, whose
   integrand carries the squeezing bracket ``cosh 2r - sinh 2r cos(wt - theta)``.
 * ``rtn_dn`` -- the ensemble average ``<cos(n * theta(tau))>`` of the phase
-  accumulated under random telegraph noise, in closed piecewise form, plus a
-  seeded Monte-Carlo trajectory oracle ``rtn_dn_montecarlo``.
+  accumulated under random telegraph noise, in closed piecewise form.
 
 Both bath integrals reduce to one kernel (Gradshteyn-Ryzhik 3.944), with
 mu = s - 1 and b > 0:
@@ -36,8 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,79 +231,3 @@ def rtn_dn(n: int, q: float, tau) -> float | np.ndarray:
         xi = math.sqrt(n * n - q * q)
         out[moving] = np.exp(-q * t) * (np.cos(xi * t) + (q / xi) * np.sin(xi * t))
     return float(out) if out.ndim == 0 else out
-
-
-_MC_CHUNK = 20_000
-#: bounds on the Monte-Carlo work: a trajectory flips about q * tau times
-MC_MAX_Q_TAU = 100.0
-MC_MAX_TRIALS = 1_000_000
-
-
-def _mc_chunk(n: int, q: float, tau: float, m: int,
-              rng: np.random.Generator) -> tuple[float, float]:
-    """Sum and sum of squares of cos(n * theta) over m trajectories."""
-    sign = rng.integers(0, 2, size=m) * 2 - 1
-    level = sign.astype(float)
-    theta = np.zeros(m)
-    t = np.zeros(m)
-    active = np.ones(m, dtype=bool)
-    while active.any():
-        idx = np.flatnonzero(active)
-        if q > 0.0:
-            dt = rng.exponential(1.0 / q, size=idx.size)
-        else:
-            dt = np.full(idx.size, np.inf)
-        remaining = tau - t[idx]
-        step = np.minimum(dt, remaining)
-        theta[idx] += level[idx] * step
-        t[idx] += step
-        flipped = dt < remaining
-        level[idx[flipped]] *= -1.0
-        active[idx[~flipped]] = False
-    x = np.cos(n * theta)
-    return float(x.sum()), float((x * x).sum())
-
-
-def rtn_dn_montecarlo(n: int, q: float, tau: float, trials: int,
-                      seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, stderr) of <cos(n * theta(tau))>.
-
-    Telegraph trajectories flip between +/-1 at rate q (in tau units) with
-    an equiprobable initial sign; theta(tau) is accumulated exactly between
-    exponential flip times.  Trials are processed in fixed-size chunks, each
-    with a seed derived from (seed, chunk index), so the result is
-    deterministic independent of the worker count.  Set the environment
-    variable HSSWITNESS_WORKERS to parallelize over chunks.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParams("n must be a positive integer")
-    if not (0 <= q < math.inf and 0 <= tau < math.inf):
-        raise InvalidParams("q and tau must be finite and >= 0")
-    if q * tau > MC_MAX_Q_TAU:
-        raise InvalidParams(f"q * tau must be <= {MC_MAX_Q_TAU:g}")
-    if not 100 <= trials <= MC_MAX_TRIALS:
-        raise InvalidParams(f"trials must lie in [100, {MC_MAX_TRIALS}]")
-
-    sizes = [_MC_CHUNK] * (trials // _MC_CHUNK)
-    if trials % _MC_CHUNK:
-        sizes.append(trials % _MC_CHUNK)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    def work(args):
-        m, ss = args
-        return _mc_chunk(n, q, tau, m, np.random.default_rng(ss))
-
-    workers = int(os.environ.get("HSSWITNESS_WORKERS", "1"))
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, zip(sizes, seeds)))
-    else:
-        parts = [work(a) for a in zip(sizes, seeds)]
-
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / trials
-    var = max(s2 - s1 * s1 / trials, 0.0) / (trials - 1)
-    stderr = math.sqrt(var / trials)
-    return mean, stderr
-

@@ -210,16 +210,3 @@ def evolve(scenario: Scenario, rho: DensityMatrix, tau) -> DensityMatrix:
         raise UnsupportedScenario(
             f"state dims {rho.dims} do not match the layout {scenario.layout.dims}")
     return DensityMatrix(rho.matrix * factor_matrix(scenario, tau), rho.dims)
-
-
-def mixed_coherence_factor(scenario: Scenario, tau) -> float | np.ndarray:
-    """The scalar F damping the mixed state's coherences: the |00><12| entry.
-
-    F = exp(-5 gamma) for independent baths, D_2^2 for independent
-    telegraph noise, D_4 for a common telegraph source, and
-    D_2 * exp(-4 gamma) in the composite scenario; an array for array tau.
-    """
-    if scenario.layout.dims != (2, 3):
-        raise UnsupportedScenario("F is defined for the qubit-qutrit layout only")
-    F = factor_matrix(scenario, tau)[..., 0, 5]
-    return float(F) if F.ndim == 0 else F

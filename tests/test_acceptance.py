@@ -13,12 +13,12 @@ from hsswitness.decoherence import (OhmicSpectralDensity, SqueezedBathParams,
                                     ThermalBathParams, gamma_squeezed,
                                     gamma_thermal, rtn_dn)
 from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, evolve,
-                                 initial_mixed, initial_pure,
-                                 mixed_coherence_factor)
+                                 initial_mixed, initial_pure)
 from hsswitness.validation import (check_golden_matrices, check_montecarlo,
                                    chi_qudit_closed, hss_finite_difference,
-                                   qudit_scenario, scenario_composite,
-                                   scenario_rtn, scenario_squeezed)
+                                   mixed_coherence_factor, qudit_scenario,
+                                   scenario_composite, scenario_rtn,
+                                   scenario_squeezed)
 from hsswitness.witnesses import (compute_series, extrema_report, hss, mid,
                                   mid_closed, negativity, negativity_closed)
 

@@ -13,10 +13,9 @@ import hsswitness
 from hsswitness import validation
 from hsswitness.cli import (KINDS, PRESETS, load_config, main, run_config,
                             series_to_csv)
-from hsswitness.decoherence import MC_MAX_TRIALS
 from hsswitness.dynamics import bath_gamma
 from hsswitness.errors import ConfigInvalid
-from hsswitness.validation import qudit_scenario
+from hsswitness.validation import MC_MAX_TRIALS, qudit_scenario
 from hsswitness.witnesses import WitnessSeries
 
 
@@ -111,6 +110,24 @@ class TestRun:
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{")
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("where", ["file-as-parent", "file-as-out-dir",
+                                       "dir-as-csv"])
+    def test_unwritable_out_dir_exit_code_2(self, tmp_path, capsys,
+                                            monkeypatch, where):
+        # a regular file in the way, not permissions: tests may run as root
+        if where != "dir-as-csv":  # found before any series is computed
+            monkeypatch.setattr("hsswitness.cli.compute_series", None)
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "fig2.csv").mkdir()
+        out = {"file-as-parent": tmp_path / "file" / "sub",
+               "file-as-out-dir": tmp_path / "file",
+               "dir-as-csv": tmp_path}[where]
+        assert main(["run", "--preset", "fig2", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid configuration: cannot write")
+        assert captured.err.count("\n") == 1
 
     def test_preset_and_config_together_rejected(self, tmp_path):
         assert main(["run", "--preset", "fig2",
@@ -310,6 +327,16 @@ def test_validate_prints_the_rows(capsys, monkeypatch):
                                        "validation: FAIL\n")
 
 
+@pytest.mark.parametrize("args", [["--trials", "10"], ["--seed", "-3"]],
+                         ids=["too-few-trials", "negative-seed"])
+def test_validate_bad_arguments_exit_code_2(capsys, args):
+    assert main(["validate", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid parameters: ")
+    assert captured.err.count("\n") == 1
+
+
 def _python_env():
     return dict(os.environ, PYTHONPATH=str(Path(hsswitness.__file__).parents[1]))
 
@@ -329,8 +356,14 @@ class TestOracleDn:
         out = capsys.readouterr().out
         assert "closed-form" in out
 
-    def test_bad_n_exit_code_2(self):
+    def test_bad_n_exit_code_2(self, capsys):
         assert main(["oracle-dn", "--n", "-1", "--q", "0.1", "--tau", "3"]) == 2
+        assert main(["oracle-dn", "--n", "1", "--q", "0.1", "--tau", "1",
+                     "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid parameters: n must be a positive integer\n"
+                                "invalid parameters: seed must be an integer >= 0\n")
 
     @pytest.mark.parametrize("args", [
         ["--q", "nan", "--tau", "1"],

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from hsswitness.decoherence import (RTN_SEAM, OhmicSpectralDensity, RtnParams,
                                     SqueezedBathParams, ThermalBathParams,
-                                    gamma_squeezed, gamma_thermal, rtn_dn,
-                                    rtn_dn_montecarlo)
+                                    gamma_squeezed, gamma_thermal, rtn_dn)
 from hsswitness.errors import InvalidParams
 from hsswitness.validation import (QUAD_EPSREL, gamma_squeezed_quadrature,
-                                   gamma_thermal_quadrature)
+                                   gamma_thermal_quadrature, rtn_dn_montecarlo)
 
 
 def trapezoid_oracle_thermal(t, spectral, T, nodes=10**6, omega_max=1000.0):
@@ -318,6 +317,15 @@ class TestRtnMonteCarlo:
         b = rtn_dn_montecarlo(2, 0.5, 2.0, 30_000, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("args, want", [
+        ((2, 0.5, 2.0, 15_000, 5), (-0.33593524585865997, 0.00510328250960941)),
+        ((1, 0.3, 2.5, 45_000, 10), (-0.2485999996684169, 0.0031830437951276386)),
+        ((3, 0.0, 1.2, 25_000, 4), (-0.8967584163341473, 0.0)),
+    ], ids=["one-chunk", "partial-last-chunk", "q-zero"])
+    def test_pinned_values(self, args, want):
+        # fixes the chunk size, the spawned seeds and the order of summation
+        assert rtn_dn_montecarlo(*args) == want
+
     def test_stderr_scaling(self):
         # stderr should roughly halve when trials quadruple
         _, e1 = rtn_dn_montecarlo(1, 0.5, 2.0, 25_000, seed=3)
@@ -325,5 +333,6 @@ class TestRtnMonteCarlo:
         assert abs(e4 / e1 - 0.5) < 0.2 * 0.5
 
     def test_trials_floor(self):
-        with pytest.raises(InvalidParams):
-            rtn_dn_montecarlo(1, 0.5, 1.0, 50, seed=0)
+        for trials, seed in ((50, 0), (1000.5, 0), (1000, -1), (1000, 1.5)):
+            with pytest.raises(InvalidParams):
+                rtn_dn_montecarlo(1, 0.5, 1.0, trials, seed=seed)

@@ -8,8 +8,7 @@ from hsswitness import dynamics
 from hsswitness.decoherence import RtnParams, gamma_squeezed, rtn_dn
 from hsswitness.dynamics import (QUBIT_QUTRIT, Environment, Scenario,
                                  SpinLayout, bath_gamma, evolve,
-                                 factor_matrix, initial_mixed, initial_pure,
-                                 mixed_coherence_factor)
+                                 factor_matrix, initial_mixed, initial_pure)
 from hsswitness.errors import InvalidP, InvalidParams, UnsupportedScenario
 from hsswitness.hilbert import hermitian_eigenvalues
 from hsswitness.witnesses import BLOCK_ENTRIES, compute_series
@@ -18,8 +17,9 @@ from hsswitness.validation import (golden_mixed, golden_mixed_common,
                                    golden_pure_rtn_common,
                                    golden_pure_rtn_independent,
                                    golden_pure_squeezed, figure_bath,
-                                   qudit_scenario, scenario_composite,
-                                   scenario_rtn, scenario_squeezed)
+                                   mixed_coherence_factor, qudit_scenario,
+                                   scenario_composite, scenario_rtn,
+                                   scenario_squeezed)
 
 
 def first_ket_mask(d):

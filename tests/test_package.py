@@ -12,7 +12,10 @@ import hsswitness
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 #: oracles and test-only helpers that live outside the package namespace
 NOT_EXPORTED = ("chi_qudit_closed", "hss_finite_difference", "trace_norm",
-                "hs_distance")
+                "hs_distance", "rtn_dn_montecarlo", "mixed_coherence_factor")
+#: oracles moved out of the production modules into validation
+MOVED = ("rtn_dn_montecarlo", "_mc_chunk", "_MC_CHUNK", "MC_MAX_Q_TAU",
+         "MC_MAX_TRIALS", "mixed_coherence_factor")
 #: names deleted from the library: the per-kind environment classes and the
 #: phase-family wrapper, replaced by Environment and DensityMatrix; the
 #: per-element factor and the single-matrix Hermiticity helpers, replaced by
@@ -23,7 +26,7 @@ DELETED = ("ThermalOhmic", "SqueezedVacuum", "RtnIndependent", "RtnCommon",
 
 
 def test_all_names_resolve():
-    assert len(hsswitness.__all__) <= 26
+    assert len(hsswitness.__all__) <= 25
     assert len(set(hsswitness.__all__)) == len(hsswitness.__all__)
     for name in hsswitness.__all__:
         getattr(hsswitness, name)
@@ -33,6 +36,14 @@ def test_all_names_resolve():
 def test_oracles_not_exported(name):
     assert name not in hsswitness.__all__
     assert not hasattr(hsswitness, name)
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_oracles_live_in_validation(name):
+    from hsswitness import decoherence, dynamics, validation
+    assert hasattr(validation, name)
+    for module in (decoherence, dynamics):
+        assert not hasattr(module, name)
 
 
 @pytest.mark.parametrize("name", DELETED)

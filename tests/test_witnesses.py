@@ -9,15 +9,15 @@ from hsswitness.cli import load_config
 
 from hsswitness.decoherence import rtn_dn
 from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, evolve,
-                                 initial_mixed, initial_pure,
-                                 mixed_coherence_factor)
+                                 initial_mixed, initial_pure)
 from hsswitness.errors import UnsupportedScenario
 from hsswitness.hilbert import DensityMatrix
 from hsswitness.validation import (chi_qudit_closed, golden_pure_composite,
                                    golden_pure_rtn_common,
                                    golden_pure_rtn_independent,
                                    golden_pure_squeezed, hss_finite_difference,
-                                   qudit_scenario, scenario_rtn)
+                                   mixed_coherence_factor, qudit_scenario,
+                                   scenario_rtn)
 from hsswitness.witnesses import (WitnessSeries, chi_series, compute_series,
                                   extrema_report, hss, mid, mid_closed,
                                   negativity, negativity_closed)

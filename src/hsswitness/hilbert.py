@@ -67,6 +67,16 @@ def symmetrized(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
+def checked_solve(m: np.ndarray, solver):
+    """``solver`` (``eigvalsh`` or ``eigh``) of a symmetrized state or stack,
+    which is checked as a density matrix: one eigensolve per state."""
+    m, checks = _hermitian_checks(m)
+    out = solver(symmetrized(m))
+    ev = out[0] if isinstance(out, tuple) else out
+    raise_first(checks + spectrum_checks(np.trace(m, axis1=-2, axis2=-1), ev[..., 0]))
+    return out
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A unit-trace Hermitian PSD matrix over an ordered tensor factorization.
@@ -91,11 +101,7 @@ class DensityMatrix:
         if int(np.prod(self.dims)) != m.shape[-1]:
             raise ValueError(
                 f"dims {self.dims} inconsistent with matrix dim {m.shape[-1]}")
-        m, checks = _hermitian_checks(m)
-        ev = np.linalg.eigvalsh(symmetrized(m))
-        object.__setattr__(self, "spectrum", ev)
-        raise_first(checks + spectrum_checks(np.trace(m, axis1=-2, axis2=-1),
-                                             ev[..., 0]))
+        object.__setattr__(self, "spectrum", checked_solve(m, np.linalg.eigvalsh))
 
     @property
     def dim(self) -> int:
@@ -125,16 +131,20 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     return r.swapaxes(subsystem - 4, subsystem - 2).reshape(m.shape)
 
 
-def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Reduced state of one subsystem of a bipartite density matrix (or stack)."""
+def reduced_matrix(rho: DensityMatrix, keep: int) -> np.ndarray:
+    """Unchecked reduced matrix of one subsystem of a bipartite state (or stack)."""
     if len(rho.dims) != 2:
         raise BadSubsystemIndex("partial trace needs a bipartite state")
     if keep not in (0, 1):
         raise BadSubsystemIndex(f"keep must be 0 or 1, got {keep}")
     m = rho.matrix
     r = m.reshape(m.shape[:-2] + rho.dims + rho.dims)
-    red = np.einsum("...ikjk->...ij" if keep == 0 else "...kikj->...ij", r)
-    return DensityMatrix(red, (rho.dims[keep],))
+    return np.einsum("...ikjk->...ij" if keep == 0 else "...kikj->...ij", r)
+
+
+def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
+    """Reduced state of one subsystem of a bipartite density matrix (or stack)."""
+    return DensityMatrix(reduced_matrix(rho, keep), (rho.dims[keep],))
 
 
 def entropy_bits(ev: np.ndarray) -> np.ndarray:

@@ -15,6 +15,10 @@ checks:
   the single-qudit HSS, the oracle of the sign law sign(chi) = sign(-dGamma/dt);
 * Monte Carlo -- ``rtn_dn_montecarlo`` averages cos(n theta) over seeded
   telegraph trajectories, the oracle of the closed-form ``decoherence.rtn_dn``.
+* tie-break loop -- ``tie_break_reference`` Gram-Schmidt processes one
+  marginal's degenerate eigenspaces vector by vector, the oracle of the
+  stacked tie-break inside ``witnesses.mid``; ``run_validation`` leaves it
+  to the tests.
 
 ``run_validation`` bundles the golden-matrix, closed-form-equivalence,
 bath-quadrature and Monte-Carlo-vs-analytic checks into one report row per
@@ -34,7 +38,8 @@ from .dynamics import (QUBIT_QUTRIT, Environment, Scenario, SpinLayout,
                        bath_gamma, evolve, factor_matrix, initial_mixed,
                        initial_pure)
 from .errors import HsswitnessError, InvalidParams, UnsupportedScenario
-from .witnesses import hss, mid, mid_closed, negativity, negativity_closed
+from .witnesses import (DEGENERACY_GAP, hss, mid, mid_closed, negativity,
+                        negativity_closed)
 
 #: phase step of the central-difference HSS oracle
 FD_STEP = 1e-4
@@ -374,6 +379,35 @@ def mixed_coherence_factor(scenario: Scenario, tau) -> float | np.ndarray:
         raise UnsupportedScenario("F is defined for the qubit-qutrit layout only")
     F = factor_matrix(scenario, tau)[..., 0, 5]
     return float(F) if F.ndim == 0 else F
+
+
+# --- MID tie-break, one marginal at a time ---------------------------------------
+
+def tie_break_reference(ev: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Eigenbasis of one marginal with the degenerate tie-break of ``mid``.
+
+    Within each cluster (eigenvalue gap < DEGENERACY_GAP) the eigenspace is
+    re-orthonormalized against the computational basis: projections of e_0,
+    e_1, ... onto the eigenspace are Gram-Schmidt processed in index order,
+    skipping residuals of norm <= 1e-8.  The oracle of the stacked
+    ``witnesses._tie_break``: a plain loop over clusters and vectors.
+    """
+    out = np.empty_like(vec)
+    cluster = np.concatenate(([0], np.cumsum(np.diff(ev) >= DEGENERACY_GAP)))
+    for c in range(cluster[-1] + 1):
+        cols = np.flatnonzero(cluster == c)
+        P = vec[:, cols] @ vec[:, cols].conj().T
+        basis: list[np.ndarray] = []
+        for v in P.T:  # P e_k, k = 0, 1, ...
+            for u in basis:
+                v = v - u * (u.conj() @ v)
+            norm = np.linalg.norm(v)
+            if norm > 1e-8:
+                basis.append(v / norm)
+            if len(basis) == cols.size:
+                break
+        out[:, cols] = np.transpose(basis)
+    return out
 
 
 # --- standard parameter sets ---------------------------------------------------

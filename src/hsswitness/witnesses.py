@@ -3,11 +3,13 @@
 Four quantities are computed: the Hilbert-Schmidt speed (HSS) of a
 phase-encoded family, its time derivative chi (the memory witness: chi > 0
 flags non-Markovian intervals), the entanglement negativity, and the
-measurement-induced disturbance (MID).  Generic eigensolve paths are paired
-with the closed-form specializations valid for the implemented scenarios,
-and an extrema report aligning HSS revivals with those of negativity/MID.
-Every witness takes a single state or a stack of them; ``compute_series``
-evaluates the grid in fixed blocks of stacked states.
+measurement-induced disturbance (MID), plus an extrema report aligning HSS
+revivals with those of negativity/MID.  Every witness takes a single state
+or a stack, with no Python loop over states: MID solves each marginal by
+one ``eigh`` and tie-breaks degenerate ones as one stack.  ``compute_series``
+evaluates the grid in fixed blocks of stacked states; ``extrema_report``
+loops in Python once per plateau, not per grid point.  The closed forms
+are the oracles of the mixed family.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import numpy as np
 
 from .dynamics import Scenario, factor_matrix, initial_mixed, initial_pure
 from .errors import InvalidParams, UnsupportedScenario
-from .hilbert import (DensityMatrix, entropy_bits, hermitian_eigenvalues,
-                      partial_trace, partial_transpose, raise_first,
-                      spectrum_checks, symmetrized, von_neumann_entropy)
+from .hilbert import (DensityMatrix, checked_solve, entropy_bits,
+                      hermitian_eigenvalues, partial_transpose, raise_first,
+                      reduced_matrix, spectrum_checks, von_neumann_entropy)
 
 EPS_CHI = 1e-8
 EPS_NEGATIVITY = 1e-6
@@ -89,55 +91,51 @@ def negativity_closed(p: float, F: float, topology: str = "independent") -> floa
 # --- measurement-induced disturbance -------------------------------------------
 
 def _tie_break(ev: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Eigenbasis of one marginal with a deterministic degenerate tie-break.
+    """Eigenbases of a stack of k marginals, ``ev`` (k, d) and ``vec`` (k, d, d).
 
-    Within each degenerate cluster (eigenvalue gap < DEGENERACY_GAP) the
-    eigenspace is re-orthonormalized against the computational basis:
-    projections of e_0, e_1, ... onto the eigenspace are Gram-Schmidt
-    processed in index order.  This reproduces the computational basis
-    whenever the marginal is diagonal.
-    """
-    out = np.empty_like(vec)
-    cluster = np.concatenate(([0], np.cumsum(np.diff(ev) >= DEGENERACY_GAP)))
-    for c in range(cluster[-1] + 1):
-        cols = np.flatnonzero(cluster == c)
-        P = vec[:, cols] @ vec[:, cols].conj().T
-        basis: list[np.ndarray] = []
-        for v in P.T:  # P e_k, k = 0, 1, ...
-            for u in basis:
-                v = v - u * (u.conj() @ v)
-            norm = np.linalg.norm(v)
-            if norm > 1e-8:
-                basis.append(v / norm)
-            if len(basis) == cols.size:
-                break
-        out[:, cols] = np.transpose(basis)
-    return out
+    Within each cluster (gap < DEGENERACY_GAP), P = V_c V_c^dag: P e_0, P e_1,
+    ... are Gram-Schmidt processed in index order, skipping residuals of norm
+    <= 1e-8, until the cluster is full; its i-th vector fills its i-th column,
+    so a diagonal marginal gives the computational basis.  Each cluster label
+    is a lane of every state; loops run over columns and slots, never states."""
+    k, d = ev.shape
+    label = np.cumsum(np.diff(ev, prepend=ev[:, :1]) >= DEGENERACY_GAP, -1)
+    member = label.T == np.arange(d)[:, None, None]  # (lane, column, state)
+    V = vec.transpose(1, 2, 0)  # (component, column, state)
+    size, filled = member.sum(1), np.zeros((d, k), int)
+    basis = np.zeros((d, d, d, k), complex)  # (slot, component, lane, state)
+    for m in range(d):  # v = P e_m, with P the eigenprojector of each lane
+        v = sum(V[:, i, None] * (V[m, i].conj() * member[:, i]) for i in range(d))
+        for u in basis[:m]:  # the slots in the order they fill
+            v = v - u * (u.conj() * v).sum(0)
+        norm = np.sqrt((v.real**2 + v.imag**2).sum(0))
+        c, s = np.nonzero((norm > 1e-8) & (filled < size))
+        basis[filled[c, s], :, c, s] = (v[:, c, s] / norm[c, s]).T
+        filled[c, s] += 1
+    if (filled != size).any():
+        raise ValueError("tie-break found too few vectors for a degenerate eigenspace")
+    first = np.argmax(member, 1)[label, np.arange(k)[:, None]]  # of each column's lane
+    return basis[np.arange(d) - first, :, label, np.arange(k)[:, None]].swapaxes(-1, -2)
 
 
-def _eigenbases(marginal: DensityMatrix) -> np.ndarray:
-    """Eigenvectors (columns) of each marginal of a stack, by one ``eigh``; the
-    tie-break runs only on degenerate marginals, once per distinct one."""
-    m = marginal.matrix.reshape(-1, *marginal.matrix.shape[-2:])
-    ev, vec = np.linalg.eigh(symmetrized(m))
-    done: dict[bytes, np.ndarray] = {}
-    for k in np.flatnonzero((np.diff(ev) < DEGENERACY_GAP).any(-1)):
-        key = m[k].tobytes()
-        if key not in done:
-            done[key] = _tie_break(ev[k], vec[k])
-        vec[k] = done[key]
-    return vec.reshape(marginal.matrix.shape)
+def _eigenbases(rho: DensityMatrix, keep: int) -> np.ndarray:
+    """Eigenvectors (columns) of marginal ``keep`` of a state or stack, from
+    the one ``eigh`` that checks it; degenerate ones tie-broken together."""
+    ev, vec = checked_solve(reduced_matrix(rho, keep), np.linalg.eigh)
+    degenerate = (np.diff(ev) < DEGENERACY_GAP).any(-1)
+    if degenerate.any():
+        vec[degenerate] = _tie_break(ev[degenerate], vec[degenerate])
+    return vec
 
 
 def mid(rho: DensityMatrix) -> float | np.ndarray:
     """Mutual-information loss under local measurements in the marginal eigenbases.
 
     I(rho) - I(Pi(rho)) with Pi the dephasing in the product U = U_A (x) U_B
-    of the marginals' eigenbases (degenerate ones tie-broken by ``_tie_break``).
-    The spectrum of Pi(rho) is the diagonal of U^dagger rho U, checked like a
-    density matrix's."""
-    ua = _eigenbases(partial_trace(rho, 0))
-    ub = _eigenbases(partial_trace(rho, 1))
+    of the marginals' eigenbases (degenerate ones tie-broken by ``_tie_break``),
+    A's checked before B's.  The spectrum of Pi(rho) is the diagonal of
+    U^dagger rho U, checked like a density matrix's."""
+    ua, ub = _eigenbases(rho, 0), _eigenbases(rho, 1)
     u = ua[..., :, None, :, None] * ub[..., None, :, None, :]  # U_A (x) U_B
     u = u.reshape(rho.matrix.shape)
     p = (u.conj() * (rho.matrix @ u)).sum(-2).real
@@ -239,29 +237,31 @@ class ExtremaReport:
 
 
 def _local_extrema(values: np.ndarray, grid: np.ndarray) -> list[tuple[float, str]]:
-    """3-point sign-change extrema; plateaus collapse to their midpoint."""
+    """3-point sign-change extrema; plateaus, runs of values within PLATEAU_TOL
+    of their first one, collapse to their midpoint.  Every point up to the
+    next step of at most PLATEAU_TOL is a one-point run, so Python loops once
+    per longer run, scanning for its end in windows that double in length."""
     n = values.size
-    # compress plateaus (runs equal within PLATEAU_TOL) to representatives
-    reps: list[tuple[int, int]] = []
-    i = 0
+    # j starts a run that holds j + 1; n - 1 stands for the end
+    joins = np.append(np.flatnonzero(np.abs(np.diff(values)) <= PLATEAU_TOL), n - 1)
+    starts, i = [np.arange(0)], 0
     while i < n:
-        j = i
-        while j + 1 < n and abs(values[j + 1] - values[i]) <= PLATEAU_TOL:
-            j += 1
-        reps.append((i, j))
-        i = j + 1
-    out = []
-    for k in range(1, len(reps) - 1):
-        lo, hi = reps[k]
-        prev = values[reps[k - 1][1]]
-        here = values[lo]
-        nxt = values[reps[k + 1][0]]
-        mid_idx = (lo + hi) // 2
-        if here > prev and here > nxt:
-            out.append((float(grid[mid_idx]), "max"))
-        elif here < prev and here < nxt:
-            out.append((float(grid[mid_idx]), "min"))
-    return out
+        j = joins[np.searchsorted(joins, i)]
+        starts.append(np.arange(i, j + 1))
+        i, w = j + 2, 8
+        while i < n:
+            far = np.flatnonzero(np.abs(values[i:i + w] - values[j]) > PLATEAU_TOL)
+            if far.size:
+                i += far[0]
+                break
+            i, w = i + w, 2 * w
+    lo = np.concatenate(starts)
+    hi = np.append(lo[1:], n) - 1
+    here, prev, nxt = values[lo[1:-1]], values[hi[:-2]], values[lo[2:]]
+    is_max = (here > prev) & (here > nxt)
+    pick = is_max | ((here < prev) & (here < nxt))
+    times = grid[((lo + hi) // 2)[1:-1][pick]]
+    return [(float(t), "max" if m else "min") for t, m in zip(times, is_max[pick])]
 
 
 def extrema_report(series: WitnessSeries,
@@ -275,18 +275,14 @@ def extrema_report(series: WitnessSeries,
     ext = {name: _local_extrema(getattr(series, name), grid)
            for name in ("hss", "chi", "negativity", "mid")}
     sd = _intervals_where(series.negativity < eps_N, grid, min_len=2)
-
-    def nearest(target: float, cands: list[tuple[float, str]]) -> float:
-        if not cands:
-            return float("inf")
-        return min(abs(target - t) for t, _ in cands)
-
-    alignment = {}
-    for t, kind in ext["hss"]:
-        alignment[t] = {
-            "kind": kind,
-            "negativity_offset": nearest(t, ext["negativity"]),
-            "mid_offset": nearest(t, ext["mid"]),
-            "in_sudden_death": any(a <= t <= b for a, b in sd),
-        }
+    t_hss = np.array([t for t, _ in ext["hss"]])
+    offset = {}
+    for name in ("negativity", "mid"):  # the +-inf pads give inf when there is none
+        c = np.array([-np.inf] + [t for t, _ in ext[name]] + [np.inf])
+        i = np.searchsorted(c, t_hss)
+        offset[name] = np.minimum(t_hss - c[i - 1], c[i] - t_hss)
+    alignment = {t: {"kind": kind, "negativity_offset": float(a),
+                     "mid_offset": float(b),
+                     "in_sudden_death": any(lo <= t <= hi for lo, hi in sd)}
+                 for (t, kind), a, b in zip(ext["hss"], *offset.values())}
     return ExtremaReport(extrema=ext, alignment=alignment, sudden_death=sd)

@@ -12,7 +12,8 @@ import hsswitness
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 #: oracles and test-only helpers that live outside the package namespace
 NOT_EXPORTED = ("chi_qudit_closed", "hss_finite_difference", "trace_norm",
-                "hs_distance", "rtn_dn_montecarlo", "mixed_coherence_factor")
+                "hs_distance", "rtn_dn_montecarlo", "mixed_coherence_factor",
+                "tie_break_reference")
 #: oracles moved out of the production modules into validation
 MOVED = ("rtn_dn_montecarlo", "_mc_chunk", "_MC_CHUNK", "MC_MAX_Q_TAU",
          "MC_MAX_TRIALS", "mixed_coherence_factor")

@@ -3,29 +3,49 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsswitness import witnesses
-from hsswitness.cli import load_config
+from hsswitness.cli import PRESETS, load_config
 
 from hsswitness.decoherence import rtn_dn
-from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, evolve,
-                                 initial_mixed, initial_pure)
-from hsswitness.errors import UnsupportedScenario
-from hsswitness.hilbert import DensityMatrix
+from hsswitness.decoherence import OhmicSpectralDensity, ThermalBathParams
+from hsswitness.dynamics import (QUBIT_QUTRIT, Environment, Scenario,
+                                 SpinLayout, bath_gamma, evolve, initial_mixed,
+                                 initial_pure)
+from hsswitness.errors import NotDensityMatrix, UnsupportedScenario
+from hsswitness.hilbert import DensityMatrix, reduced_matrix
 from hsswitness.validation import (chi_qudit_closed, golden_pure_composite,
                                    golden_pure_rtn_common,
                                    golden_pure_rtn_independent,
                                    golden_pure_squeezed, hss_finite_difference,
                                    mixed_coherence_factor, qudit_scenario,
-                                   scenario_rtn)
-from hsswitness.witnesses import (WitnessSeries, chi_series, compute_series,
+                                   scenario_rtn, tie_break_reference)
+from hsswitness.witnesses import (DEGENERACY_GAP, PLATEAU_TOL, WitnessSeries,
+                                  _intervals_where, chi_series, compute_series,
                                   extrema_report, hss, mid, mid_closed,
                                   negativity, negativity_closed)
 
 SQRT5_OVER_6 = np.sqrt(5.0) / 6.0
+FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 #: the closed-form topology of each scenario of all_qubit_qutrit_scenarios
 TOPOLOGY = {"squeezed": "independent", "rtn-independent": "independent",
             "rtn-common": "common", "composite": "composite"}
+
+
+def preset_states(name):
+    """A preset's evolved pure states on the preset grid."""
+    config = load_config(name, dict(PRESETS[name]))
+    grid = np.linspace(0.0, config.tau_max, config.grid_points)
+    return evolve(config.scenario,
+                  initial_pure(config.scenario.layout, config.phi), grid)
+
+
+def preset_series(name):
+    config = load_config(name, dict(PRESETS[name]))
+    grid = np.linspace(0.0, config.tau_max, config.grid_points)
+    return compute_series(config.scenario, grid, phi=config.phi, mixed_p=config.p)
 
 
 class TestHss:
@@ -140,15 +160,37 @@ class TestSeries:
             assert got.shape == (len(states),)
             assert np.abs(got - [f(r) for r in states]).max() < 1e-12
 
-    def test_tie_break_once_per_distinct_marginal(self, monkeypatch):
-        # the mixed family's marginals are diagonal, degenerate and the same
-        # at every time: one Gram-Schmidt per marginal and block
+    def test_tie_break_once_per_marginal_and_block(self, monkeypatch):
+        # the mixed family's marginals are diagonal and degenerate at every
+        # time; fig7's qubit marginal is degenerate at 561 of its 600 points,
+        # each one different in its last bits: either way one stacked
+        # Gram-Schmidt per marginal and block
         calls = []
         tie_break = witnesses._tie_break
         monkeypatch.setattr(witnesses, "_tie_break",
-                            lambda ev, vec: calls.append(1) or tie_break(ev, vec))
+                            lambda ev, vec: calls.append(len(ev)) or tie_break(ev, vec))
+        blocks = math.ceil(600 / (witnesses.BLOCK_ENTRIES // 36))
         compute_series(scenario_rtn(0.1), np.linspace(0, 30, 600), mixed_p=0.3)
-        assert 0 < len(calls) <= 2 * math.ceil(600 / (witnesses.BLOCK_ENTRIES // 36))
+        assert 0 < len(calls) <= 2 * blocks
+        calls.clear()
+        preset_series("fig7")
+        assert 0 < len(calls) <= 2 * blocks
+        assert sum(calls) >= 561
+
+    @pytest.mark.parametrize("mixed_p", [None, 0.3])
+    def test_one_eigensolve_per_marginal(self, monkeypatch, mixed_p):
+        # one block: each stack is solved once, each marginal by one eigh
+        solved = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve:
+                                solved.append((name, a.shape)) or solve(a))
+        compute_series(scenario_rtn(0.1), np.linspace(0, 30, 100), mixed_p=mixed_p)
+        families = 1 if mixed_p is None else 2
+        initial = [("eigvalsh", (6, 6))] * families
+        block = ([("eigvalsh", (100, 6, 6))] * (families + 1)  # states, negativity
+                 + [("eigh", (100, 2, 2)), ("eigh", (100, 3, 3))])
+        assert sorted(solved) == sorted(initial + block)
 
     def test_memory_does_not_grow_with_the_grid(self):
         # one unblocked (20000, 6, 6) complex stack alone would take 11.5 MB
@@ -298,12 +340,109 @@ class TestMid:
                 got = mid(evolve(scen, initial_mixed(p), tau))
                 assert abs(got - mid_closed(p, F, TOPOLOGY[name])) < 1e-10
 
+    def test_marginal_fails_after_its_state_passes(self):
+        # the state's lowest eigenvalue is -0.9e-9, inside TOL_PSD; marginal
+        # A's is 3 x -0.9e-9; marginal B of b_fails has 2 x -0.9e-9
+        eps = 0.9e-9
+        a_fails = np.diag([-eps] * 3 + [1 / 3 + eps] * 3).astype(complex)
+        b_fails = np.diag([-eps, 0.3, 0.2, -eps, 0.3, 0.2 + 2 * eps]).astype(complex)
+        a_message = r"^minimum eigenvalue -2\.700e-09 < -1e-09$"
+        with pytest.raises(NotDensityMatrix, match=a_message):
+            mid(DensityMatrix(a_fails, (2, 3)))
+        with pytest.raises(NotDensityMatrix, match=r"^minimum eigenvalue -1\.800e-09"):
+            mid(DensityMatrix(b_fails, (2, 3)))
+        # A is checked before B, and the first failing state first
+        for stack in ([np.eye(6) / 6, a_fails], [b_fails, a_fails]):
+            with pytest.raises(NotDensityMatrix, match=a_message):
+                mid(DensityMatrix(np.array(stack), (2, 3)))
+
     def test_closed_form_anchors(self):
         assert abs(mid_closed(0.0, 1.0, "independent") - 1.0) < 1e-14
         assert mid_closed(0.3, 0.0, "independent") == 0.0
         # common topology at p = 0 is frozen at 1 for any F
         for F in (0.0, 0.4, 1.0):
             assert abs(mid_closed(0.0, F, "common") - 1.0) < 1e-14
+
+
+def rotated(rng, spectrum):
+    """A Hermitian matrix with the given spectrum in a random unitary basis."""
+    d = len(spectrum)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q @ np.diag(spectrum) @ q.conj().T
+
+
+class TestTieBreak:
+    """The stacked tie-break against the one-marginal loop of validation."""
+
+    @staticmethod
+    def degenerate_agree(matrices):
+        ev, vec = np.linalg.eigh(matrices)
+        degenerate = (np.diff(ev) < DEGENERACY_GAP).any(-1)
+        ev, vec = ev[degenerate], vec[degenerate]
+        got = witnesses._tie_break(ev, vec)
+        want = np.array([tie_break_reference(e, v) for e, v in zip(ev, vec)])
+        assert np.abs(got - want).max() < 1e-12
+        eye = np.eye(ev.shape[-1])
+        assert np.abs(got.conj().swapaxes(-1, -2) @ got - eye).max() < 1e-12
+        return got
+
+    @pytest.mark.parametrize("spectrum", [
+        (0.3, 0.3, 0.4), (0.2, 0.2, 0.2, 0.4), (1 / 3, 1 / 3, 1 / 3),
+        (0.1, 0.1, 0.4, 0.4), (0.1, 0.2, 0.2, 0.2, 0.3), (0.5, 0.5)])
+    def test_random_degenerate_marginals(self, spectrum):
+        # clusters of 2 and of 3 in rotated bases
+        rng = np.random.default_rng(len(spectrum))
+        got = self.degenerate_agree(np.array([rotated(rng, spectrum)
+                                              for _ in range(64)]))
+        assert len(got) == 64
+
+    @pytest.mark.parametrize("spectrum", [
+        (0.3, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.2, 0.5)])
+    def test_diagonal_marginals_give_the_computational_basis(self, spectrum):
+        got = self.degenerate_agree(np.diag(spectrum)[None].astype(complex))
+        assert np.abs(got[0] - np.eye(len(spectrum))).max() < 1e-15
+
+    @pytest.mark.parametrize("gap,clusters", [(0.999e-9, 2), (1.001e-9, 3)])
+    def test_gaps_either_side_of_the_threshold(self, gap, clusters):
+        # 0.3 and 0.3 + gap share a cluster only below DEGENERACY_GAP
+        rng = np.random.default_rng(9)
+        m = np.array([rotated(rng, (0.3, 0.3 + gap, 0.2, 0.2)) for _ in range(32)])
+        ev = np.linalg.eigvalsh(m)
+        assert np.all((np.diff(ev) >= DEGENERACY_GAP).sum(-1) + 1 == clusters)
+        self.degenerate_agree(m)
+
+    def test_spin_pair_under_a_common_bath(self):
+        # spin 2 (x) spin 3/2: marginals of dimension 5 and 4 lose their
+        # coherences and pass through partly and fully degenerate spectra
+        bath = ThermalBathParams(OhmicSpectralDensity(1.0, 1.0, 20.0), temperature=2.0)
+        scen = Scenario(SpinLayout((2, 1.5)), Environment(
+            bath=bath, bath_couplings=((1, 1),)))
+        rho = evolve(scen, initial_pure(scen.layout, np.pi), np.linspace(0, 6, 300))
+        for keep in (0, 1):
+            assert len(self.degenerate_agree(reduced_matrix(rho, keep))) > 100
+        assert np.all(np.isfinite(mid(rho)))
+
+    def test_fig7_stack(self):
+        rho = preset_states("fig7")
+        assert len(self.degenerate_agree(reduced_matrix(rho, 0))) == 561
+
+    def test_stops_when_the_cluster_is_full(self):
+        # eigenvectors scaled by 1e4 leave rounding residuals above the 1e-8
+        # skip threshold: only the stop rule keeps a third vector out
+        rng = np.random.default_rng(3)
+        ev = np.array([0.25, 0.25, 0.5])
+        vec = np.array([1e4 * np.linalg.qr(rng.normal(size=(3, 3))
+                                           + 1j * rng.normal(size=(3, 3)))[0]
+                        for _ in range(8)])
+        got = witnesses._tie_break(np.tile(ev, (8, 1)), vec)
+        want = np.array([tie_break_reference(ev, v) for v in vec])
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_too_few_vectors_raise(self):
+        # two copies of e_0 span one direction only: no zero column is left
+        vec = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        with pytest.raises(ValueError, match="too few vectors"):
+            witnesses._tie_break(np.array([[0.5, 0.5]]), vec)
 
 
 class TestExtrema:
@@ -333,6 +472,119 @@ class TestExtrema:
             if info["in_sudden_death"]:
                 continue
             assert min(info["negativity_offset"], info["mid_offset"]) <= 2 * step
+
+
+def oracle_local_extrema(values, grid):
+    """The grid-point loop that extrema_report replaced."""
+    n = values.size
+    reps = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and abs(values[j + 1] - values[i]) <= PLATEAU_TOL:
+            j += 1
+        reps.append((i, j))
+        i = j + 1
+    out = []
+    for k in range(1, len(reps) - 1):
+        lo, hi = reps[k]
+        prev = values[reps[k - 1][1]]
+        here = values[lo]
+        nxt = values[reps[k + 1][0]]
+        mid_idx = (lo + hi) // 2
+        if here > prev and here > nxt:
+            out.append((float(grid[mid_idx]), "max"))
+        elif here < prev and here < nxt:
+            out.append((float(grid[mid_idx]), "min"))
+    return out
+
+
+def oracle_extrema_report(series):
+    """(extrema, alignment, sudden_death) as the loops computed them."""
+    grid = series.tau_grid
+    ext = {name: oracle_local_extrema(getattr(series, name), grid)
+           for name in ("hss", "chi", "negativity", "mid")}
+    sd = _intervals_where(series.negativity < witnesses.EPS_NEGATIVITY, grid,
+                          min_len=2)
+
+    def nearest(target, cands):
+        if not cands:
+            return float("inf")
+        return min(abs(target - t) for t, _ in cands)
+
+    alignment = {}
+    for t, kind in ext["hss"]:
+        alignment[t] = {
+            "kind": kind,
+            "negativity_offset": nearest(t, ext["negativity"]),
+            "mid_offset": nearest(t, ext["mid"]),
+            "in_sudden_death": any(a <= t <= b for a, b in sd),
+        }
+    return ext, alignment, sd
+
+
+def assert_report_matches_oracle(series):
+    report = extrema_report(series)
+    assert (report.extrema, report.alignment, report.sudden_death
+            ) == oracle_extrema_report(series)
+    for name, found in report.extrema.items():
+        assert all(type(t) is float for t, _ in found)
+    for t, info in report.alignment.items():
+        assert type(t) is float
+        assert type(info["negativity_offset"]) is float
+        assert type(info["mid_offset"]) is float
+
+
+def series_of(values, grid=None):
+    """Four distinct series built from one: plateaus, sudden death, ends."""
+    v = np.asarray(values, dtype=float)
+    grid = np.arange(v.size, dtype=float) if grid is None else grid
+    return WitnessSeries(tau_grid=grid, hss=v, chi=-v,
+                         negativity=np.abs(v[::-1]), mid=np.roll(v, v.size // 2))
+
+
+#: steps within and just beyond PLATEAU_TOL; a run of them drifts further
+_STEPS = (-0.9e-12, -0.4e-12, 0.0, 0.2e-12, 0.6e-12, 1.0e-12, 1.1e-12, 2.5e-12)
+_VALUES = st.floats(-1.0, 1.0) | st.floats(-3e-12, 3e-12) | st.just(0.0)
+
+
+@st.composite
+def plateau_series(draw):
+    parts = draw(st.lists(st.one_of(
+        # an exact plateau
+        st.tuples(_VALUES, st.integers(1, 6)).map(lambda p: [p[0]] * p[1]),
+        # sub-tolerance steps whose drift may exceed PLATEAU_TOL
+        st.tuples(_VALUES, st.lists(st.sampled_from(_STEPS), min_size=1,
+                                    max_size=16)).map(
+            lambda p: list(p[0] + np.cumsum([0.0] + p[1]))),
+        _VALUES.map(lambda v: [v])), min_size=1, max_size=10))
+    values = np.concatenate(parts)
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=values.size,
+                          max_size=values.size))
+    return series_of(values, np.cumsum(steps))
+
+
+class TestExtremaOracle:
+    """extrema_report equals the grid-point loops it replaced, exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(series=plateau_series())
+    def test_property(self, series):
+        assert_report_matches_oracle(series)
+
+    @pytest.mark.parametrize("values", [
+        [0.4], [0.4, 0.1], [0.1, 0.4, 0.1], [0.4, 0.1, 0.4],
+        [0.2] * 9, [0.0] * 5,
+        [0.0, -0.9e-12, 0.2e-12],  # one run: each within 1e-12 of its first
+        [1.0, 0.0, -0.9e-12, 0.2e-12, 1.0],
+        [0.0, 0.6e-12, 1.2e-12, 1.8e-12, 2.4e-12, 0.0],  # drifts out of its run
+        [0.3, 0.3, 0.3, 0.1, 0.5, 0.5], [0.5, 0.1, 0.2, 0.2, 0.2]])
+    def test_cases(self, values):
+        assert_report_matches_oracle(series_of(values))
+
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_presets(self, name):
+        assert_report_matches_oracle(preset_series(name))
 
 
 class TestContractivity:

@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import validation
 from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
                           ThermalBathParams, rtn_dn)
 from .dynamics import QUBIT_QUTRIT, Environment, Scenario, SpinLayout
@@ -246,6 +245,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validation  # the oracles load only for the commands that use them
     try:
         rows = validation.run_validation(trials=args.trials, seed=args.seed)
     except InvalidParams as exc:
@@ -259,6 +259,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle_dn(args) -> int:
+    from . import validation
     try:
         mean, err = validation.rtn_dn_montecarlo(args.n, args.q, args.tau,
                                                  args.trials, args.seed)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,15 +172,19 @@ def initial_mixed(p: float) -> DensityMatrix:
 
 # --- dephasing factors -------------------------------------------------------
 
-def _windings(layout: SpinLayout, couplings: tuple) -> np.ndarray:
-    """c . Delta of every element (n, m), one (d, d) integer table per vector c.
-
-    Delta = z_n - z_m per spin; with z = s - digit it is digit_m - digit_n,
-    the digits of each ket in the order of the tensor product.
-    """
+@lru_cache(maxsize=32)
+def _coupling_tables(layout: SpinLayout, bath_couplings: tuple, rtn_couplings: tuple):
+    """W = sum_bath (c . Delta)^2 and K = |c . Delta| (a (d, d) table per telegraph
+    vector c), built once per layout and couplings and read-only.  Delta = z_n - z_m
+    per spin; with z = s - digit it is digit_m - digit_n, the digits of each ket in
+    the order of the tensor product."""
     digits = np.indices(layout.dims).reshape(len(layout.dims), -1)
     delta = digits[:, None, :] - digits[:, :, None]
-    return np.tensordot(np.array(couplings, dtype=int), delta, axes=1)
+    W, K = (np.tensordot(np.array(c, dtype=int).reshape(-1, len(delta)), delta, axes=1)
+            for c in (bath_couplings, rtn_couplings))
+    W, K = (W**2).sum(0), np.abs(K)
+    W.flags.writeable = K.flags.writeable = False
+    return W, K
 
 
 def factor_matrix(scenario: Scenario, tau) -> np.ndarray:
@@ -189,12 +194,11 @@ def factor_matrix(scenario: Scenario, tau) -> np.ndarray:
     and K = |c . Delta|; Gamma and D_1 ... D_max K are evaluated once on all of tau."""
     env, layout = scenario.environment, scenario.layout
     t = np.asarray(tau, dtype=float)
+    W, K = _coupling_tables(layout, env.bath_couplings, env.rtn_couplings)
     out = np.ones(t.shape + (layout.dim, layout.dim))
     if env.bath is not None:
-        W = (_windings(layout, env.bath_couplings) ** 2).sum(0)
         out = np.exp(-np.multiply.outer(bath_gamma(scenario, t), W))
     if env.rtn is not None:
-        K = np.abs(_windings(layout, env.rtn_couplings))
         D = np.stack([np.ones(t.shape)] + [
             rtn_dn(k, env.rtn.q, env.nu_ratio * t) for k in range(1, K.max() + 1)],
             axis=-1)

@@ -31,15 +31,19 @@ def _as_complex(m) -> np.ndarray:
     return a
 
 
-def _hermitian_checks(m: np.ndarray) -> tuple[np.ndarray, list]:
-    """The stack with non-finite states zeroed, and its finite-entry and
+def _hermitian_checks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """The stack with non-finite states zeroed (a copy only if there are any), its
+    (m + m^dagger) / 2 from one conjugate transpose, and its finite-entry and
     Hermiticity checks in the form ``raise_first`` takes."""
     finite = np.isfinite(m).all(axis=(-2, -1))
-    m = np.where(finite[..., None, None], m, 0.0)
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    return m, [(~finite, ValueError, "matrix has non-finite entries", defect),
-               (defect > TOL_HERM, NotHermitian,
-                "Hermiticity defect {:.3e} exceeds " f"{TOL_HERM:.1e}", defect)]
+    if not finite.all():
+        m = np.where(finite[..., None, None], m, 0.0)
+    mh = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - mh).max(axis=(-2, -1))
+    return m, (m + mh) / 2.0, [
+        (~finite, ValueError, "matrix has non-finite entries", defect),
+        (defect > TOL_HERM, NotHermitian,
+         "Hermiticity defect {:.3e} exceeds " f"{TOL_HERM:.1e}", defect)]
 
 
 def spectrum_checks(trace, lowest) -> list:
@@ -62,16 +66,11 @@ def raise_first(checks: list) -> None:
         raise exc(message.format(np.ravel(values)[k]))
 
 
-def symmetrized(m: np.ndarray) -> np.ndarray:
-    """(m + m^dagger) / 2 of a matrix or of each of a stack."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
-
-
 def checked_solve(m: np.ndarray, solver):
     """``solver`` (``eigvalsh`` or ``eigh``) of a symmetrized state or stack,
     which is checked as a density matrix: one eigensolve per state."""
-    m, checks = _hermitian_checks(m)
-    out = solver(symmetrized(m))
+    m, h, checks = _hermitian_checks(m)
+    out = solver(h)
     ev = out[0] if isinstance(out, tuple) else out
     raise_first(checks + spectrum_checks(np.trace(m, axis1=-2, axis2=-1), ev[..., 0]))
     return out
@@ -115,9 +114,9 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     solve, which suppresses roundoff drift without changing the spectrum
     within the Hermiticity tolerance.
     """
-    m = _as_complex(m)
-    raise_first(_hermitian_checks(m)[1])
-    return np.linalg.eigvalsh(symmetrized(m))[..., ::-1]
+    _, h, checks = _hermitian_checks(_as_complex(m))
+    raise_first(checks)
+    return np.linalg.eigvalsh(h)[..., ::-1]
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:

@@ -349,6 +349,20 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
                           env=_python_env()).returncode == 0
 
 
+def test_run_loads_no_oracle_module(tmp_path):
+    # validation (and numpy.polynomial, for its Gauss-Legendre nodes) load
+    # only for validate and oracle-dn
+    code = ("import sys, hsswitness.cli; "
+            "assert hsswitness.cli.main(['run', '--preset', 'fig2', '--out-dir', "
+            f"{str(tmp_path)!r}]) == 0; "
+            "print(sorted({'hsswitness.validation', 'numpy.polynomial'} "
+            "& set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], env=_python_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
 class TestOracleDn:
     def test_agrees_with_closed_form(self, capsys):
         assert main(["oracle-dn", "--n", "2", "--q", "0.1", "--tau", "3",

@@ -396,3 +396,66 @@ class TestCouplingOracle:
         for tau in self.TAUS:
             assert np.abs(factor_matrix(scen, tau)
                           - oracle_factors(scen, tau, gaps, [])).max() < 1e-14
+
+
+def windings_reference(layout, couplings):
+    """c . Delta of every element, one (d, d) table per vector c, rebuilt per call."""
+    digits = np.indices(layout.dims).reshape(len(layout.dims), -1)
+    delta = digits[:, None, :] - digits[:, :, None]
+    return np.tensordot(np.array(couplings, dtype=int), delta, axes=1)
+
+
+def factor_matrix_reference(scen, t):
+    """The damping factors with the coupling tables rebuilt on every call."""
+    env, layout = scen.environment, scen.layout
+    out = np.ones(t.shape + (layout.dim, layout.dim))
+    if env.bath is not None:
+        W = (windings_reference(layout, env.bath_couplings) ** 2).sum(0)
+        out = np.exp(-np.multiply.outer(bath_gamma(scen, t), W))
+    if env.rtn is not None:
+        K = np.abs(windings_reference(layout, env.rtn_couplings))
+        D = np.stack([np.ones(t.shape)] + [
+            rtn_dn(k, env.rtn.q, env.nu_ratio * t) for k in range(1, K.max() + 1)],
+            axis=-1)
+        for k in K:
+            out = out * D[..., k]
+    return out
+
+
+TABLE_SCENARIOS = pytest.mark.parametrize(
+    "make", [scenario_squeezed, lambda: scenario_rtn(0.1),
+             lambda: scenario_rtn(3.0, common=True),
+             lambda: scenario_composite(0.1), lambda: qudit_scenario(2.5)],
+    ids=["squeezed", "rtn-independent", "rtn-common", "composite", "spin-5/2"])
+
+
+class TestCouplingTables:
+    """The integer tables W and K are built once per layout and couplings."""
+
+    @TABLE_SCENARIOS
+    def test_built_once_per_series(self, make):
+        scen = make()
+        tables = dynamics._coupling_tables
+        tables.cache_clear()
+        grid = np.linspace(0.0, 30.0, 600)
+        compute_series(scen, grid, mixed_p=0.3 if scen.layout.dims == (2, 3) else None)
+        blocks = math.ceil(600 / max(1, BLOCK_ENTRIES // scen.layout.dim**2))
+        assert blocks > 1
+        info = tables.cache_info()
+        assert (info.misses, info.hits) == (1, blocks - 1)
+        env = scen.environment
+        for table in tables(scen.layout, env.bath_couplings, env.rtn_couplings):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[..., 0, 1] = 7
+        # a second series of another scenario with the same couplings builds nothing
+        compute_series(make(), grid[:300])
+        assert tables.cache_info().misses == 1
+
+    @TABLE_SCENARIOS
+    def test_factors_equal_tables_rebuilt_per_call(self, make):
+        scen = make()
+        for t in (np.linspace(0.0, 30.0, 257), np.array(1.3)):
+            for _ in range(2):  # from a fresh and from a cached table
+                assert np.array_equal(factor_matrix(scen, t),
+                                      factor_matrix_reference(scen, t))

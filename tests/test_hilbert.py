@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsswitness.errors import BadSubsystemIndex, NotDensityMatrix, NotHermitian
-from hsswitness.hilbert import (DensityMatrix, hermitian_eigenvalues,
-                                partial_trace, partial_transpose,
-                                von_neumann_entropy)
+from hsswitness.hilbert import (TOL_HERM, TOL_PSD, TOL_TRACE, DensityMatrix,
+                                checked_solve, hermitian_eigenvalues,
+                                partial_trace, partial_transpose, raise_first,
+                                spectrum_checks, von_neumann_entropy)
 
 
 def bell_like_00_12():
@@ -199,3 +202,106 @@ class TestStacks:
         skew = np.array([[0.5, 0.1], [0.0, 0.5]])
         with pytest.raises(NotHermitian, match="Hermiticity defect 1.000e-01"):
             DensityMatrix(np.array([np.eye(2) / 2, skew]), (2,))
+
+
+# --- the checks of a stack against their state-copying form ---------------------
+
+def reference_hermitian_checks(m):
+    """Zero the non-finite states of a copy, then check it."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m = np.where(finite[..., None, None], m, 0.0)
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return m, [(~finite, ValueError, "matrix has non-finite entries", defect),
+               (defect > TOL_HERM, NotHermitian,
+                "Hermiticity defect {:.3e} exceeds " f"{TOL_HERM:.1e}", defect)]
+
+
+def reference_symmetrized(m):
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def reference_checked_solve(m, solver):
+    m, checks = reference_hermitian_checks(m)
+    out = solver(reference_symmetrized(m))
+    ev = out[0] if isinstance(out, tuple) else out
+    raise_first(checks + spectrum_checks(np.trace(m, axis1=-2, axis2=-1), ev[..., 0]))
+    return out
+
+
+def reference_hermitian_eigenvalues(m):
+    m = np.asarray(m, dtype=complex)
+    raise_first(reference_hermitian_checks(m)[1])
+    return np.linalg.eigvalsh(reference_symmetrized(m))[..., ::-1]
+
+
+def outcome(f, *args):
+    """The arrays f returns, or the type and message of what it raises."""
+    try:
+        out = f(*args)
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+    return [(a.shape, a.dtype, a.tobytes())
+            for a in (out if isinstance(out, tuple) else (out,))]
+
+
+def flawed_state(rng, d, flaw, size):
+    """A random d x d density matrix, then one flaw of about its tolerance's size."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = a @ a.conj().T
+    m = m / m.trace().real
+    if flaw == "nan":
+        m[rng.integers(d), rng.integers(d)] = np.nan
+    elif flaw == "inf":
+        m[rng.integers(d), rng.integers(d)] = -np.inf
+    elif flaw == "hermiticity":  # one entry without its mirror
+        m[0, d - 1] += size * TOL_HERM
+    elif flaw == "trace":  # an imaginary diagonal within TOL_HERM shows in the message
+        m = m * (1.0 + size * TOL_TRACE)
+        m[0, 0] += 0.4j * TOL_HERM
+    elif flaw == "psd":  # pull the lowest eigenvalue to about -size * TOL_PSD
+        ev, vec = np.linalg.eigh(m)
+        ev[0] = -size * TOL_PSD
+        ev[1:] += (1.0 - ev.sum()) / (d - 1)
+        m = (vec * ev) @ vec.conj().T
+    return m
+
+
+FLAWS = ("none", "nan", "inf", "hermiticity", "trace", "psd")
+
+
+@st.composite
+def flawed_stacks(draw):
+    d = draw(st.sampled_from([2, 3, 6]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    flaws = draw(st.lists(st.sampled_from(FLAWS), min_size=1, max_size=6))
+    # sizes either side of the tolerance, so a flaw may pass or fail
+    sizes = draw(st.lists(st.sampled_from([0.5, 0.99, 1.01, 2.0, 3.0]),
+                          min_size=len(flaws), max_size=len(flaws)))
+    rng = np.random.default_rng(seed)
+    return np.array([flawed_state(rng, d, f, s) for f, s in zip(flaws, sizes)])
+
+
+class TestChecksAgainstCopyingForm:
+    """One conjugate transpose per stack, and no copy of a finite one, change
+    no spectrum and no exception: type, message, check order and state order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flawed_stacks())
+    def test_property(self, stack):
+        for m in (stack, stack[0]):
+            for solver in (np.linalg.eigvalsh, np.linalg.eigh):
+                assert (outcome(checked_solve, m, solver)
+                        == outcome(reference_checked_solve, m, solver))
+            assert (outcome(hermitian_eigenvalues, m)
+                    == outcome(reference_hermitian_eigenvalues, m))
+
+    def test_flaws_reach_every_check(self):
+        # each flaw of the strategy raises what it should at twice its tolerance
+        rng = np.random.default_rng(5)
+        raised = {f: outcome(checked_solve, flawed_state(rng, 3, f, 2.0),
+                             np.linalg.eigvalsh) for f in FLAWS}
+        assert isinstance(raised["none"], list)
+        assert raised["nan"][0] is ValueError and raised["inf"][0] is ValueError
+        assert raised["hermiticity"][0] is NotHermitian
+        assert raised["trace"][1].startswith("trace (1.0000000002+3.9")
+        assert raised["psd"][1].startswith("minimum eigenvalue -2.000e-09")

@@ -48,6 +48,13 @@ def preset_series(name):
     return compute_series(config.scenario, grid, phi=config.phi, mixed_p=config.p)
 
 
+def spin_pair_common_bath():
+    """Spin 2 (x) spin 3/2 under one thermal bath on the total S_z."""
+    bath = ThermalBathParams(OhmicSpectralDensity(1.0, 1.0, 20.0), temperature=2.0)
+    return Scenario(SpinLayout((2, 1.5)), Environment(bath=bath,
+                                                      bath_couplings=((1, 1),)))
+
+
 class TestHss:
     def test_initial_value_anchor(self, all_qubit_qutrit_scenarios):
         for scen in all_qubit_qutrit_scenarios.values():
@@ -203,6 +210,57 @@ class TestSeries:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestBlockSize:
+    """A series does not depend on the block budget: one state per block, 128,
+    the default 300, and more than the whole grid give equal series."""
+
+    STATES = (1, 128, 300, 2_000)  # qubit-qutrit states per block
+
+    def assert_equal_per_budget(self, monkeypatch, scen, grid, **kw):
+        series = []
+        for states in self.STATES:
+            monkeypatch.setattr(witnesses, "BLOCK_ENTRIES", states * 36)
+            series.append(compute_series(scen, grid, **kw))
+        first, *rest = series
+        for other in rest:
+            for name in ("tau_grid", "hss", "chi", "negativity", "mid"):
+                assert np.array_equal(getattr(first, name), getattr(other, name)), name
+            assert first.nonmarkov_intervals == other.nonmarkov_intervals
+
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_presets(self, monkeypatch, name):
+        config = load_config(name, dict(PRESETS[name]))
+        grid = np.linspace(0.0, config.tau_max, config.grid_points)
+        self.assert_equal_per_budget(monkeypatch, config.scenario, grid,
+                                     phi=config.phi, mixed_p=config.p)
+
+    def test_spin_five_halves(self, monkeypatch):
+        self.assert_equal_per_budget(monkeypatch, qudit_scenario(2.5),
+                                     np.linspace(0.0, 3.0, 600))
+
+    def test_spin_pair_under_a_common_bath(self, monkeypatch):
+        # d = 20: a block of 1 state, 11, 27 or all 300
+        self.assert_equal_per_budget(monkeypatch, spin_pair_common_bath(),
+                                     np.linspace(0.0, 6.0, 300))
+
+    @pytest.mark.parametrize("mixed_p", [None, 0.3])
+    def test_uneven_last_block(self, monkeypatch, mixed_p):
+        # 1,001 = 3 x 300 + 101 = 7 x 128 + 105
+        self.assert_equal_per_budget(monkeypatch, scenario_rtn(0.1),
+                                     np.linspace(0.0, 30.0, 1001), mixed_p=mixed_p)
+
+    @pytest.mark.parametrize("mixed_p", [None, 0.3])
+    def test_seam_failure(self, monkeypatch, mixed_p):
+        # q = 3 + 9e-7 is on the q = n seam of the common source: the same
+        # first failing state and message at every budget
+        for states in self.STATES:
+            monkeypatch.setattr(witnesses, "BLOCK_ENTRIES", states * 36)
+            with pytest.raises(NotDensityMatrix,
+                               match=r"^minimum eigenvalue -1\.711e-09 < -1e-09$"):
+                compute_series(scenario_rtn(3 + 9e-7, common=True),
+                               np.linspace(0.0, 30.0, 600), mixed_p=mixed_p)
 
 
 def first_ket_mask(d):
@@ -414,9 +472,7 @@ class TestTieBreak:
     def test_spin_pair_under_a_common_bath(self):
         # spin 2 (x) spin 3/2: marginals of dimension 5 and 4 lose their
         # coherences and pass through partly and fully degenerate spectra
-        bath = ThermalBathParams(OhmicSpectralDensity(1.0, 1.0, 20.0), temperature=2.0)
-        scen = Scenario(SpinLayout((2, 1.5)), Environment(
-            bath=bath, bath_couplings=((1, 1),)))
+        scen = spin_pair_common_bath()
         rho = evolve(scen, initial_pure(scen.layout, np.pi), np.linspace(0, 6, 300))
         for keep in (0, 1):
             assert len(self.degenerate_agree(reduced_matrix(rho, keep))) > 100

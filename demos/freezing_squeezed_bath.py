@@ -13,21 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from hsswitness import (QUBIT_QUTRIT, Environment, OhmicSpectralDensity,
-                        Scenario, SqueezedBathParams, compute_series,
-                        series_svg)
+from hsswitness import compute_series, scenario, series_svg
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(".")
 
-bath = SqueezedBathParams(
-    spectral=OhmicSpectralDensity(alpha=0.1, s_ohmic=3.0, omega_c=20.0),
-    r=0.3, theta=0.0)
-# one squeezed reservoir per spin
-scenario = Scenario(QUBIT_QUTRIT, Environment(bath=bath,
-                                              bath_couplings=((1, 0), (0, 1))))
+# one squeezed reservoir per spin, at the figure parameters: alpha = 0.1,
+# s = 3, omega_c = 20, r = 0.3
+squeezed = scenario("squeezed")
 
 tau = np.linspace(0.0, 3.0, 600)
-series = compute_series(scenario, tau)
+series = compute_series(squeezed, tau)
 
 tail = slice(int(0.9 * tau.size), None)
 print("initial HSS        :", series.hss[0], "(= sqrt(5)/6)")

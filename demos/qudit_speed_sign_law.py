@@ -10,29 +10,23 @@ Run:  python3 demos/qudit_speed_sign_law.py
 
 import numpy as np
 
-from hsswitness import (Environment, OhmicSpectralDensity, Scenario,
-                        SpinLayout, SqueezedBathParams, evolve, hss,
-                        initial_pure)
+from hsswitness import evolve, hss, initial_pure, scenario
 from hsswitness.dynamics import bath_gamma
 from hsswitness.validation import chi_qudit_closed
 
-bath = SqueezedBathParams(
-    spectral=OhmicSpectralDensity(alpha=0.1, s_ohmic=3.0, omega_c=20.0),
-    r=0.3, theta=0.0)
-
 for s in (0.5, 1.0, 1.5, 3.0):
-    scenario = Scenario(SpinLayout((s,)), Environment(
-        bath=bath, bath_couplings=((1,),)))
+    # one spin-s qudit in the figure squeezed bath
+    qudit = scenario("squeezed", spin=s)
     taus = np.linspace(0.05, 3.0, 120)
     ok = True
     for tau in taus:
         h = 1e-5
-        dg = (bath_gamma(scenario, tau + h)
-              - bath_gamma(scenario, tau - h)) / (2 * h)
+        dg = (bath_gamma(qudit, tau + h)
+              - bath_gamma(qudit, tau - h)) / (2 * h)
         if abs(dg) < 1e-8:
             continue
-        chi = chi_qudit_closed(s, bath_gamma(scenario, tau), dg)
+        chi = chi_qudit_closed(s, bath_gamma(qudit, tau), dg)
         ok &= np.sign(chi) == np.sign(-dg)
-    rho = evolve(scenario, initial_pure(scenario.layout, 0.0), 1.0)
+    rho = evolve(qudit, initial_pure(qudit.layout, 0.0), 1.0)
     print(f"s = {s:>3}: dim {int(2 * s + 1)}, HSS(tau=1) = {hss(rho):.6f}, "
           f"sign law holds: {bool(ok)}")

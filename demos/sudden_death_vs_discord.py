@@ -11,14 +11,12 @@ Run:  python3 demos/sudden_death_vs_discord.py
 
 import numpy as np
 
-from hsswitness import (QUBIT_QUTRIT, Environment, RtnParams, Scenario,
-                        compute_series, extrema_report)
+from hsswitness import compute_series, extrema_report, scenario
 
 # one fluctuator per spin; the qubit couples through sigma_z = 2 S_z
-scenario = Scenario(QUBIT_QUTRIT, Environment(
-    rtn=RtnParams(nu=1.0, gamma_rate=0.1), rtn_couplings=((2, 0), (0, 1))))
+slow = scenario("rtn_independent", q=0.1)
 tau = np.linspace(0.0, 30.0, 601)
-series = compute_series(scenario, tau, mixed_p=0.4)
+series = compute_series(slow, tau, mixed_p=0.4)
 report = extrema_report(series)
 
 print("sudden-death windows (negativity = 0):")

@@ -12,16 +12,13 @@ Run:  python3 demos/telegraph_regimes.py
 
 import numpy as np
 
-from hsswitness import (QUBIT_QUTRIT, Environment, RtnParams, Scenario,
-                        compute_series, extrema_report)
+from hsswitness import compute_series, extrema_report, scenario
 
 tau = np.linspace(0.0, 30.0, 601)
 
 for q in (0.1, 10.0):
     # one fluctuator per spin; the qubit couples through sigma_z = 2 S_z
-    scenario = Scenario(QUBIT_QUTRIT, Environment(
-        rtn=RtnParams(nu=1.0, gamma_rate=q), rtn_couplings=((2, 0), (0, 1))))
-    series = compute_series(scenario, tau)
+    series = compute_series(scenario("rtn_independent", q=q), tau)
     report = extrema_report(series)
     print(f"--- q = {q} ---")
     print("non-Markovian (chi > 0) intervals:",

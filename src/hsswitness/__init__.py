@@ -12,21 +12,20 @@ from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
                           ThermalBathParams, gamma_squeezed, gamma_thermal,
                           rtn_dn)
 from .dynamics import (QUBIT_QUTRIT, Environment, Scenario, SpinLayout,
-                       evolve, initial_mixed, initial_pure)
+                       evolve, initial_mixed, initial_pure, scenario)
 from .hilbert import DensityMatrix
 from .plotting import series_svg
 from .witnesses import (ExtremaReport, WitnessSeries, compute_series,
-                        extrema_report, hss, mid, mid_closed, negativity,
-                        negativity_closed)
+                        extrema_report, hss, mid, negativity)
 
 __all__ = [
     "OhmicSpectralDensity", "RtnParams", "SqueezedBathParams",
     "ThermalBathParams", "gamma_squeezed", "gamma_thermal", "rtn_dn",
     "QUBIT_QUTRIT", "Environment", "Scenario", "SpinLayout", "evolve",
-    "initial_mixed", "initial_pure",
+    "initial_mixed", "initial_pure", "scenario",
     "DensityMatrix", "series_svg",
     "ExtremaReport", "WitnessSeries", "compute_series", "extrema_report",
-    "hss", "mid", "mid_closed", "negativity", "negativity_closed",
+    "hss", "mid", "negativity",
 ]
 
 __version__ = "0.1.0"

@@ -28,29 +28,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
-                          ThermalBathParams, rtn_dn)
-from .dynamics import QUBIT_QUTRIT, Environment, Scenario, SpinLayout
+from .decoherence import rtn_dn
+from .dynamics import Scenario, scenario
 from .errors import ConfigInvalid, HsswitnessError, InvalidParams
 from .plotting import series_svg
 from .witnesses import WitnessSeries, compute_series, extrema_report
 
 CONFIG_VERSION = 1
 
-#: figure-style presets; tau ranges are read qualitatively off the plots and
-#: therefore overridable via --config
+#: figure-style presets at the figure parameters, the defaults of each kind;
+#: tau ranges are read qualitatively off the plots and therefore overridable
+#: via --config
 PRESETS: dict[str, dict] = {
     "fig2": {"scenario": {"kind": "squeezed"}, "tau_max": 3.0},
     "fig3": {"scenario": {"kind": "squeezed"}, "tau_max": 3.0, "p": 0.3},
-    "fig4": {"scenario": {"kind": "rtn_independent", "q": 0.1}, "tau_max": 30.0},
-    "fig5": {"scenario": {"kind": "rtn_independent", "q": 0.1},
-             "tau_max": 30.0, "p": 0.4},
-    "fig6": {"scenario": {"kind": "rtn_common", "q": 0.1},
-             "tau_max": 30.0, "p": 0.0},
-    "fig7": {"scenario": {"kind": "composite", "q": 0.1, "nu_ratio": 100.0},
-             "tau_max": 30.0},
-    "fig8": {"scenario": {"kind": "composite", "q": 0.1, "nu_ratio": 100.0},
-             "tau_max": 30.0, "p": 0.0},
+    "fig4": {"scenario": {"kind": "rtn_independent"}, "tau_max": 30.0},
+    "fig5": {"scenario": {"kind": "rtn_independent"}, "tau_max": 30.0, "p": 0.4},
+    "fig6": {"scenario": {"kind": "rtn_common"}, "tau_max": 30.0, "p": 0.0},
+    "fig7": {"scenario": {"kind": "composite"}, "tau_max": 30.0},
+    "fig8": {"scenario": {"kind": "composite"}, "tau_max": 30.0, "p": 0.0},
 }
 
 #: bounds that keep a run's arrays small; a spin-s qudit is (2s+1) x (2s+1)
@@ -59,50 +55,6 @@ MAX_GRID_POINTS = 100_000
 
 _TOP_LEVEL_KEYS = {"version", "scenario", "tau_max", "grid_points", "phi", "p",
                    "outputs"}
-_BATH = {"alpha": 0.1, "s_ohmic": 3.0, "omega_c": 20.0}
-_SQUEEZING = {"r": 0.3, "theta": 0.0}
-
-
-def _spectral(kw: dict) -> OhmicSpectralDensity:
-    return OhmicSpectralDensity(kw["alpha"], kw["s_ohmic"], kw["omega_c"])
-
-
-def _squeezed_bath(kw: dict) -> SqueezedBathParams:
-    return SqueezedBathParams(_spectral(kw), r=kw["r"], theta=kw["theta"])
-
-
-def _telegraph(kw: dict) -> RtnParams:
-    return RtnParams(nu=kw["nu"], gamma_rate=kw["q"] * kw["nu"])
-
-
-def _each_spin(kw: dict) -> tuple:
-    """One bath copy per spin: (1,) for a qudit, (1, 0) and (0, 1) for the pair."""
-    return ((1, 0), (0, 1)) if kw["spin"] is None else ((1,),)
-
-
-#: scenario kind -> (allowed keys with their defaults, environment constructor).
-#: ``spin`` (default None, the qubit-qutrit pair) selects a single spin-s qudit.
-KINDS = {
-    "squeezed": ({**_BATH, **_SQUEEZING, "spin": None},
-                 lambda kw: Environment(bath=_squeezed_bath(kw),
-                                        bath_couplings=_each_spin(kw))),
-    "thermal": ({**_BATH, "temperature": 0.0, "spin": None},
-                lambda kw: Environment(
-                    bath=ThermalBathParams(_spectral(kw),
-                                           temperature=kw["temperature"]),
-                    bath_couplings=_each_spin(kw))),
-    "rtn_independent": ({"q": 0.1, "nu": 1.0},
-                        lambda kw: Environment(
-                            rtn=_telegraph(kw), rtn_couplings=((2, 0), (0, 1)))),
-    "rtn_common": ({"q": 0.1, "nu": 1.0},
-                   lambda kw: Environment(rtn=_telegraph(kw),
-                                          rtn_couplings=((2, 1),))),
-    "composite": ({**_BATH, **_SQUEEZING, "q": 0.1, "nu_ratio": 100.0},
-                  lambda kw: Environment(
-                      bath=_squeezed_bath(kw), bath_couplings=((0, 1),),
-                      rtn=RtnParams(nu=1.0, gamma_rate=kw["q"]),
-                      rtn_couplings=((2, 0),), nu_ratio=kw["nu_ratio"])),
-}
 
 
 def _number(key: str, value) -> float:
@@ -142,22 +94,20 @@ class RunConfig:
             raise ConfigInvalid(f"unknown outputs {bad}")
 
 
+def _scenario_number(key: str, value) -> float:
+    """``_number``, then for ``spin`` the bound: spin is the last key of its
+    kinds, so every other value of the block is checked first."""
+    x = _number(key, value)
+    if key == "spin" and x > MAX_SPIN:
+        raise ConfigInvalid(f"spin must be <= {MAX_SPIN}")
+    return x
+
+
 def _build_scenario(block) -> Scenario:
+    block = block if isinstance(block, dict) else {}
+    params = {k: v for k, v in block.items() if k != "kind"}
     try:
-        kind = block.get("kind") if isinstance(block, dict) else None
-        if not isinstance(kind, str) or kind not in KINDS:
-            raise ConfigInvalid(f"unknown scenario kind {kind!r}")
-        defaults, make = KINDS[kind]
-        unknown = sorted(set(block) - set(defaults) - {"kind"})
-        if unknown:
-            raise ConfigInvalid(f"unknown key(s) {unknown} for kind {kind!r}")
-        kw = {k: _number(k, block[k]) if k in block else v
-              for k, v in defaults.items()}
-        spin = kw.get("spin")
-        if spin is not None and spin > MAX_SPIN:
-            raise ConfigInvalid(f"spin must be <= {MAX_SPIN}")
-        layout = QUBIT_QUTRIT if spin is None else SpinLayout((spin,))
-        return Scenario(layout, make(kw))
+        return scenario(block.get("kind"), _scenario_number, **params)
     except InvalidParams as exc:
         raise ConfigInvalid(str(exc)) from exc
 

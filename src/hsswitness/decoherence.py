@@ -90,24 +90,17 @@ class SqueezedBathParams:
 
 @dataclass(frozen=True)
 class RtnParams:
-    """Telegraph noise with coupling nu and switching rate gamma_rate.
+    """Telegraph noise switching at rate q per unit of tau = nu * t.
 
-    q = gamma_rate / nu separates fast (q >> 1, memoryless) from slow
-    (q << 1, memory-bearing) noise.
+    q = gamma / nu, switching rate over coupling, separates fast (q >> 1,
+    memoryless) from slow (q << 1, memory-bearing) noise.
     """
 
-    nu: float = 1.0
-    gamma_rate: float = 0.0
+    q: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.nu < math.inf:
-            raise InvalidParams("nu must be finite and > 0")
-        if not 0 <= self.gamma_rate < math.inf:
+        if not 0 <= self.q < math.inf:
             raise InvalidParams("switching rate must be finite and >= 0")
-
-    @property
-    def q(self) -> float:
-        return self.gamma_rate / self.nu
 
 
 def _log1m_i(u):

@@ -9,21 +9,20 @@ one formula:
     exp(-Gamma(tau) * sum_bath (c . Delta)^2) * prod_rtn D_|c . Delta|(nu_ratio * tau)
 
 with one integer coupling vector c per independent copy of the bath or of
-the telegraph process, and D_0 := 1.  The paper's kinds are rows of couplings:
-
-* thermal or squeezed baths on each spin: (1,), or (1, 0) and (0, 1);
-* independent telegraph noise: (2, 0) and (0, 1) -- the qubit couples via
-  sigma_z = 2 S_z, hence its doubled winding;
-* common telegraph noise: (2, 1), so opposite windings (the {|02>, |10>}
-  block) are decoherence free;
-* composite: telegraph noise on (2, 0), squeezed reservoir on (0, 1).
+the telegraph process, and D_0 := 1.  The paper's five kinds are the rows of
+``KINDS``, each with the figure parameters as defaults and its coupling
+rows; ``scenario(kind, **params)`` builds one.  The qubit couples to
+telegraph noise via sigma_z = 2 S_z, hence its doubled winding, and the
+common source's (2, 1) leaves opposite windings (the {|02>, |10>} block)
+decoherence free.
 
 ``factor_matrix`` evaluates it on a whole array of tau: integer tables of
 sum_bath (c . Delta)^2 and |c . Delta| index one Gamma and one D_1 ... D_max
 per time, with no Python loop over elements.
 
 Dimensionless time conventions: tau = omega_0 * t for quantum baths,
-tau = nu * t for telegraph-only scenarios.  The composite scenario uses
+tau = nu * t for telegraph-only scenarios, nu the telegraph coupling, so
+that q is the switching rate per unit tau.  The composite scenario uses
 tau = omega_0 * t and evaluates the telegraph averages at nu_ratio * tau.
 """
 
@@ -36,8 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decoherence import (RtnParams, SqueezedBathParams, ThermalBathParams,
-                          gamma_squeezed, gamma_thermal, rtn_dn)
+from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
+                          ThermalBathParams, gamma_squeezed, gamma_thermal,
+                          rtn_dn)
 from .errors import InvalidP, InvalidParams, UnsupportedScenario
 from .hilbert import DensityMatrix
 
@@ -66,11 +66,6 @@ class SpinLayout:
     @property
     def dim(self) -> int:
         return int(np.prod(self.dims))
-
-    def z_labels(self, k: int) -> np.ndarray:
-        """z eigenvalues [s, s-1, ..., -s] of subsystem k."""
-        s = float(self.spins[k])
-        return s - np.arange(self.dims[k])
 
 
 QUBIT_QUTRIT = SpinLayout((Fraction(1, 2), Fraction(1)))
@@ -143,6 +138,51 @@ def bath_gamma(scenario: Scenario, tau) -> float | np.ndarray:
     if isinstance(bath, ThermalBathParams):
         return gamma_thermal(tau, bath)
     return gamma_squeezed(tau, bath)
+
+
+# --- the paper's scenario kinds ------------------------------------------------
+
+_BATH = {"alpha": 0.1, "s_ohmic": 3.0, "omega_c": 20.0}
+_SQUEEZING = {"r": 0.3, "theta": 0.0}
+
+#: kind -> (keys with their defaults, the figure parameters; bath coupling rows;
+#: telegraph coupling rows), rows for the qubit-qutrit pair.  ``spin`` (default
+#: None, the pair, and kept last) selects a single spin-s qudit with one bath copy.
+KINDS = {
+    "squeezed": ({**_BATH, **_SQUEEZING, "spin": None}, ((1, 0), (0, 1)), ()),
+    "thermal": ({**_BATH, "temperature": 0.0, "spin": None}, ((1, 0), (0, 1)), ()),
+    "rtn_independent": ({"q": 0.1}, (), ((2, 0), (0, 1))),
+    "rtn_common": ({"q": 0.1}, (), ((2, 1),)),
+    "composite": ({**_BATH, **_SQUEEZING, "q": 0.1, "nu_ratio": 100.0},
+                  ((0, 1),), ((2, 0),)),
+}
+
+
+def scenario(kind: str, number=None, /, **params) -> Scenario:
+    """The scenario of ``kind``, a key of KINDS, with ``params`` over its defaults.
+
+    ``number(key, value)``, if given, converts each value of ``params`` in the
+    order of the defaults, after the kind and the keys are checked."""
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise InvalidParams(f"unknown scenario kind {kind!r}")
+    defaults, bath_c, rtn_c = KINDS[kind]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise InvalidParams(f"unknown key(s) {unknown} for kind {kind!r}")
+    convert = number or (lambda key, value: value)
+    kw = {k: convert(k, params[k]) if k in params else v for k, v in defaults.items()}
+    layout = QUBIT_QUTRIT
+    if kw.get("spin") is not None:
+        layout, bath_c = SpinLayout((kw["spin"],)), ((1,),)
+    bath = None
+    if bath_c:
+        J = OhmicSpectralDensity(kw["alpha"], kw["s_ohmic"], kw["omega_c"])
+        bath = (ThermalBathParams(J, kw["temperature"]) if "temperature" in kw
+                else SqueezedBathParams(J, kw["r"], kw["theta"]))
+    return Scenario(layout, Environment(
+        bath=bath, bath_couplings=bath_c,
+        rtn=RtnParams(kw["q"]) if rtn_c else None, rtn_couplings=rtn_c,
+        nu_ratio=kw.get("nu_ratio", 1.0)))
 
 
 # --- initial states ---------------------------------------------------------

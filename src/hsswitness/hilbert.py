@@ -141,18 +141,8 @@ def reduced_matrix(rho: DensityMatrix, keep: int) -> np.ndarray:
     return np.einsum("...ikjk->...ij" if keep == 0 else "...kikj->...ij", r)
 
 
-def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Reduced state of one subsystem of a bipartite density matrix (or stack)."""
-    return DensityMatrix(reduced_matrix(rho, keep), (rho.dims[keep],))
-
-
 def entropy_bits(ev: np.ndarray) -> np.ndarray:
     """-sum(lam * log2 lam) over the last axis, 0*log0 := 0; roundoff
     eigenvalues in (-TOL_PSD, 0) are clipped to 0."""
     ev = np.clip(ev, 0.0, None)
     return -(ev * np.log2(ev, out=np.zeros_like(ev), where=ev > 0.0)).sum(-1)
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
-    """Base-2 entropy of a state, or of each state of a stack."""
-    return entropy_bits(rho.spectrum)

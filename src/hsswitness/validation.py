@@ -31,12 +31,11 @@ import math
 
 import numpy as np
 
-from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
+from .decoherence import (OhmicSpectralDensity, SqueezedBathParams,
                           ThermalBathParams, gamma_squeezed, gamma_thermal,
                           rtn_dn)
-from .dynamics import (QUBIT_QUTRIT, Environment, Scenario, SpinLayout,
-                       bath_gamma, evolve, factor_matrix, initial_mixed,
-                       initial_pure)
+from .dynamics import (QUBIT_QUTRIT, Scenario, bath_gamma, evolve,
+                       factor_matrix, initial_mixed, initial_pure, scenario)
 from .errors import HsswitnessError, InvalidParams, UnsupportedScenario
 from .witnesses import (DEGENERACY_GAP, hss, mid, mid_closed, negativity,
                         negativity_closed)
@@ -410,43 +409,12 @@ def tie_break_reference(ev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- standard parameter sets ---------------------------------------------------
-
-def figure_bath() -> SqueezedBathParams:
-    """alpha = 0.1, super-Ohmic exponent 3, cutoff 20 omega_0, r = 0.3."""
-    return SqueezedBathParams(
-        spectral=OhmicSpectralDensity(alpha=0.1, s_ohmic=3.0, omega_c=20.0),
-        r=0.3, theta=0.0)
-
-
-def scenario_squeezed() -> Scenario:
-    return Scenario(QUBIT_QUTRIT, Environment(
-        bath=figure_bath(), bath_couplings=((1, 0), (0, 1))))
-
-
-def scenario_rtn(q: float, common: bool = False) -> Scenario:
-    return Scenario(QUBIT_QUTRIT, Environment(
-        rtn=RtnParams(nu=1.0, gamma_rate=q),
-        rtn_couplings=((2, 1),) if common else ((2, 0), (0, 1))))
-
-
-def scenario_composite(q: float, nu_ratio: float = 100.0) -> Scenario:
-    return Scenario(QUBIT_QUTRIT, Environment(
-        bath=figure_bath(), bath_couplings=((0, 1),),
-        rtn=RtnParams(nu=1.0, gamma_rate=q), rtn_couplings=((2, 0),),
-        nu_ratio=nu_ratio))
-
-
-def qudit_scenario(s: float) -> Scenario:
-    return Scenario(SpinLayout((s,)), Environment(
-        bath=figure_bath(), bath_couplings=((1,),)))
-
-
 # --- check suites ----------------------------------------------------------------
 
 def check_golden_matrices(n_times: int = 20, seed: int = 7,
                           ) -> list[tuple[str, float]]:
-    """Max entrywise deviation of stacked evolve() from each golden table."""
+    """Max entrywise deviation of stacked evolve() from each golden table, for
+    the scenario kinds at their defaults, the figure parameters."""
     rng = np.random.default_rng(seed)
     phi = np.pi / 3.0
     pure0, mixed0 = initial_pure(QUBIT_QUTRIT, phi), initial_mixed(0.3)
@@ -454,7 +422,7 @@ def check_golden_matrices(n_times: int = 20, seed: int = 7,
     def worst(scen, rho0, taus, want):
         return float(np.abs(evolve(scen, rho0, taus).matrix - np.array(want)).max())
 
-    sq = scenario_squeezed()
+    sq = scenario("squeezed")
     taus = rng.uniform(0.05, 3.0, n_times)
     g = bath_gamma(sq, taus)
     results = [
@@ -464,24 +432,25 @@ def check_golden_matrices(n_times: int = 20, seed: int = 7,
                                  [golden_mixed(0.3, np.exp(-5 * x)) for x in g])),
     ]
 
-    q = 0.1
-    ind, com = scenario_rtn(q), scenario_rtn(q, common=True)
+    ind, com = scenario("rtn_independent"), scenario("rtn_common")
     taus = rng.uniform(0.05, 30.0, n_times)
-    d = np.transpose([rtn_dn(n, q, taus) for n in (1, 2, 3, 4)])
+    d = np.transpose([rtn_dn(n, ind.environment.rtn.q, taus) for n in (1, 2, 3, 4)])
+    dc = np.transpose([rtn_dn(n, com.environment.rtn.q, taus) for n in (1, 2, 3, 4)])
     results += [
         ("pure-rtn-independent", worst(ind, pure0, taus, [
             golden_pure_rtn_independent(d1, d2, phi) for d1, d2, _, _ in d])),
         ("mixed-rtn-independent", worst(ind, mixed0, taus, [
             golden_mixed(0.3, d2 ** 2) for _, d2, _, _ in d])),
         ("pure-rtn-common", worst(com, pure0, taus, [
-            golden_pure_rtn_common(*dk, phi) for dk in d])),
+            golden_pure_rtn_common(*dk, phi) for dk in dc])),
         ("mixed-rtn-common", worst(com, mixed0, taus, [
-            golden_mixed_common(0.3, d4) for *_, d4 in d])),
+            golden_mixed_common(0.3, d4) for *_, d4 in dc])),
     ]
 
-    comp = scenario_composite(q)
+    comp = scenario("composite")
+    env = comp.environment
     taus = rng.uniform(0.05, 3.0, n_times)
-    pairs = list(zip(rtn_dn(2, q, comp.environment.nu_ratio * taus),
+    pairs = list(zip(rtn_dn(2, env.rtn.q, env.nu_ratio * taus),
                      bath_gamma(comp, taus)))
     results += [
         ("pure-composite", worst(comp, pure0, taus, [
@@ -494,16 +463,16 @@ def check_golden_matrices(n_times: int = 20, seed: int = 7,
 
 def check_closed_forms(p_values=(0.0, 0.1, 0.3, 0.4), n_times: int = 40,
                        ) -> list[tuple[str, float]]:
-    """Stacked negativity/MID vs closed forms, and HSS vs finite differences."""
+    """Stacked negativity/MID vs closed forms, and HSS vs finite differences,
+    for the pair's scenario kinds at their defaults."""
     out = []
-    cases = [
-        ("squeezed", scenario_squeezed(), np.linspace(0.0, 3.0, n_times), "independent"),
-        ("rtn-independent", scenario_rtn(0.1), np.linspace(0.0, 30.0, n_times), "independent"),
-        ("rtn-common", scenario_rtn(0.1, common=True), np.linspace(0.0, 30.0, n_times), "common"),
-        ("composite", scenario_composite(0.1), np.linspace(0.0, 3.0, n_times), "composite"),
-    ]
+    cases = [("squeezed", "squeezed", 3.0, "independent"),
+             ("rtn-independent", "rtn_independent", 30.0, "independent"),
+             ("rtn-common", "rtn_common", 30.0, "common"),
+             ("composite", "composite", 3.0, "composite")]
     pure0 = initial_pure(QUBIT_QUTRIT, np.pi)
-    for name, scen, taus, topo in cases:
+    for name, kind, tau_max, topo in cases:
+        scen, taus = scenario(kind), np.linspace(0.0, tau_max, n_times)
         dev_n = dev_m = 0.0
         factors = mixed_coherence_factor(scen, taus)
         for p in p_values:

@@ -22,7 +22,7 @@ from .dynamics import Scenario, factor_matrix, initial_mixed, initial_pure
 from .errors import InvalidParams, UnsupportedScenario
 from .hilbert import (DensityMatrix, checked_solve, entropy_bits,
                       hermitian_eigenvalues, partial_transpose, raise_first,
-                      reduced_matrix, spectrum_checks, von_neumann_entropy)
+                      reduced_matrix, spectrum_checks)
 
 EPS_CHI = 1e-8
 EPS_NEGATIVITY = 1e-6
@@ -141,7 +141,7 @@ def mid(rho: DensityMatrix) -> float | np.ndarray:
     p = (u.conj() * (rho.matrix @ u)).sum(-2).real
     raise_first(spectrum_checks(p.sum(-1), p.min(-1)))
     # the marginals are invariant under Pi, so I - I(Pi) = S(Pi(rho)) - S(rho)
-    return entropy_bits(p) - von_neumann_entropy(rho)
+    return entropy_bits(p) - entropy_bits(rho.spectrum)
 
 
 def mid_closed(p: float, F: float, topology: str = "independent") -> float:
@@ -265,8 +265,7 @@ def _local_extrema(values: np.ndarray, grid: np.ndarray) -> list[tuple[float, st
     return [(float(t), "max" if m else "min") for t, m in zip(times, is_max[pick])]
 
 
-def extrema_report(series: WitnessSeries,
-                   eps_N: float = EPS_NEGATIVITY) -> ExtremaReport:
+def extrema_report(series: WitnessSeries) -> ExtremaReport:
     """Extrema of every series, alignment of HSS extrema, sudden-death spans.
 
     ``alignment`` maps each HSS extremum time to the grid distance (in tau)
@@ -275,7 +274,7 @@ def extrema_report(series: WitnessSeries,
     grid = series.tau_grid
     ext = {name: _local_extrema(getattr(series, name), grid)
            for name in ("hss", "chi", "negativity", "mid")}
-    sd = _intervals_where(series.negativity < eps_N, grid, min_len=2)
+    sd = _intervals_where(series.negativity < EPS_NEGATIVITY, grid, min_len=2)
     t_hss = np.array([t for t, _ in ext["hss"]])
     offset = {}
     for name in ("negativity", "mid"):  # the +-inf pads give inf when there is none

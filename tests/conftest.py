@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hsswitness.validation import (qudit_scenario, scenario_composite,
-                                   scenario_rtn, scenario_squeezed)
+from hsswitness.dynamics import scenario
 
 
 @pytest.fixture(scope="session")
@@ -24,14 +23,11 @@ def random_density_matrices(rng):
 
 @pytest.fixture(scope="session")
 def all_qubit_qutrit_scenarios():
-    return {
-        "squeezed": scenario_squeezed(),
-        "rtn-independent": scenario_rtn(0.1),
-        "rtn-common": scenario_rtn(0.1, common=True),
-        "composite": scenario_composite(0.1),
-    }
+    """The pair's kinds at their defaults, the figure parameters (q = 0.1)."""
+    return {name: scenario(name.replace("-", "_"))
+            for name in ("squeezed", "rtn-independent", "rtn-common", "composite")}
 
 
 @pytest.fixture(scope="session")
 def qudit_half():
-    return qudit_scenario(0.5)
+    return scenario("squeezed", spin=0.5)

@@ -13,12 +13,10 @@ from hsswitness.decoherence import (OhmicSpectralDensity, SqueezedBathParams,
                                     ThermalBathParams, gamma_squeezed,
                                     gamma_thermal, rtn_dn)
 from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, evolve,
-                                 initial_mixed, initial_pure)
+                                 initial_mixed, initial_pure, scenario)
 from hsswitness.validation import (check_golden_matrices, check_montecarlo,
                                    chi_qudit_closed, hss_finite_difference,
-                                   mixed_coherence_factor, qudit_scenario,
-                                   scenario_composite, scenario_rtn,
-                                   scenario_squeezed)
+                                   mixed_coherence_factor)
 from hsswitness.witnesses import (compute_series, extrema_report, hss, mid,
                                   mid_closed, negativity, negativity_closed)
 
@@ -31,10 +29,10 @@ def _report(label: str, ok: bool, detail: str = "") -> None:
 
 def _scenarios():
     return {
-        "squeezed": (scenario_squeezed(), 3.0, "independent"),
-        "rtn-independent": (scenario_rtn(0.1), 30.0, "independent"),
-        "rtn-common": (scenario_rtn(0.1, common=True), 30.0, "common"),
-        "composite": (scenario_composite(0.1), 3.0, "composite"),
+        "squeezed": (scenario("squeezed"), 3.0, "independent"),
+        "rtn-independent": (scenario("rtn_independent", q=0.1), 30.0, "independent"),
+        "rtn-common": (scenario("rtn_common", q=0.1), 30.0, "common"),
+        "composite": (scenario("composite", q=0.1), 3.0, "composite"),
     }
 
 
@@ -43,7 +41,7 @@ def test_01_initial_value_anchors():
     for scen, tau_max, _ in _scenarios().values():
         rho = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), 0.0)
         worst_pure = max(worst_pure, abs(hss(rho) - np.sqrt(5.0) / 6.0))
-    scen = qudit_scenario(0.5)
+    scen = scenario("squeezed", spin=0.5)
     worst_qudit = 0.0
     for tau in np.linspace(0.0, 3.0, 40):
         g = bath_gamma(scen, tau)
@@ -108,7 +106,7 @@ def test_04_regime_discrimination():
     grid = np.linspace(0.0, 30.0, 601)
     step = grid[1] - grid[0]
 
-    slow = compute_series(scenario_rtn(0.1), grid)
+    slow = compute_series(scenario("rtn_independent", q=0.1), grid)
     report = extrema_report(slow)
     worst_offset = 0.0
     for info in report.alignment.values():
@@ -120,7 +118,7 @@ def test_04_regime_discrimination():
                and worst_offset <= 2 * step + 1e-12
                and 2 * step <= 0.1 + 1e-12)
 
-    fast = compute_series(scenario_rtn(10.0), grid)
+    fast = compute_series(scenario("rtn_independent", q=10.0), grid)
     fast_ok = (np.all(fast.chi <= 1e-8)
                and np.all(np.diff(fast.negativity) <= 1e-10)
                and np.all(np.diff(fast.mid) <= 1e-10))
@@ -132,7 +130,7 @@ def test_04_regime_discrimination():
 
 def test_05_entanglement_sudden_death():
     grid = np.linspace(0.0, 30.0, 601)
-    series = compute_series(scenario_rtn(0.1), grid, mixed_p=0.4)
+    series = compute_series(scenario("rtn_independent", q=0.1), grid, mixed_p=0.4)
     dead = (series.negativity < 1e-6) & (series.mid > 1e-3)
     runs = np.flatnonzero(dead[:-1] & dead[1:])
     _report("sudden death with surviving quantum correlations",
@@ -141,7 +139,7 @@ def test_05_entanglement_sudden_death():
 
 
 def test_06_common_environment_freezing():
-    scen = scenario_rtn(0.1, common=True)
+    scen = scenario("rtn_common", q=0.1)
     rho0 = initial_mixed(0.0)
     worst = 0.0
     mids = []
@@ -158,7 +156,7 @@ def test_06_common_environment_freezing():
 
 def test_07_super_ohmic_freezing():
     grid = np.linspace(0.0, 3.0, 600)
-    series = compute_series(scenario_squeezed(), grid)
+    series = compute_series(scenario("squeezed"), grid)
     tail = slice(int(0.9 * grid.size), None)
     variation = max(np.ptp(series.hss[tail]), np.ptp(series.negativity[tail]),
                     np.ptp(series.mid[tail]))
@@ -173,7 +171,7 @@ def test_07_super_ohmic_freezing():
 def test_08_qudit_sign_law():
     ok = True
     for s in (0.5, 1.0, 1.5, 3.0):
-        scen = qudit_scenario(s)
+        scen = scenario("squeezed", spin=s)
         for tau in np.linspace(0.05, 3.0, 40):
             h = 1e-5
             dg = (bath_gamma(scen, tau + h) - bath_gamma(scen, tau - h)) / (2 * h)

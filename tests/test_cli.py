@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import hsswitness
 from hsswitness import validation
-from hsswitness.cli import (KINDS, PRESETS, load_config, main, run_config,
+from hsswitness.cli import (PRESETS, load_config, main, run_config,
                             series_to_csv)
-from hsswitness.dynamics import bath_gamma
+from hsswitness.dynamics import KINDS, bath_gamma, scenario
 from hsswitness.errors import ConfigInvalid
-from hsswitness.validation import MC_MAX_TRIALS, qudit_scenario
+from hsswitness.validation import MC_MAX_TRIALS
 from hsswitness.witnesses import WitnessSeries
 
 
@@ -52,6 +52,36 @@ class TestConfig:
     def test_unknown_output_rejected(self):
         with pytest.raises(ConfigInvalid):
             load_config("x", tiny_config(outputs=["csv", "pdf"]))
+
+    #: a value for every key of every kind, drawn within its domain
+    DRAWS = {"alpha": (0.05, 0.2), "s_ohmic": (0.5, 4.0), "omega_c": (5.0, 30.0),
+             "r": (0.0, 1.0), "theta": (0.0, 6.0), "temperature": (0.0, 5.0),
+             "q": (0.01, 10.0), "nu_ratio": (1.0, 200.0)}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_config_builds_the_kinds_scenario(self, kind):
+        block = {"kind": kind}
+        assert load_config("x", {"scenario": block}).scenario == scenario(kind)
+        rng = np.random.default_rng(sorted(KINDS).index(kind))
+        params = {k: float(rng.uniform(*self.DRAWS[k])) if k != "spin"
+                  else float(rng.integers(1, 7)) / 2 for k in KINDS[kind][0]}
+        got = load_config("x", {"scenario": {**block, **params}}).scenario
+        assert got == scenario(kind, **params)
+        assert got != scenario(kind)
+
+    @pytest.mark.parametrize("block,message", [
+        ({"kind": "nope", "alpha": "x"}, "unknown scenario kind 'nope'"),
+        ({"kind": "squeezed", "nu": 1, "alpha": "x"}, r"unknown key\(s\) \['nu'\]"),
+        ({"kind": "squeezed", "spin": 1000, "omega_c": "x", "alpha": True},
+         "alpha must be a finite number"),
+        ({"kind": "squeezed", "alpha": -1, "spin": 1000.3}, "spin must be <= 50"),
+        ({"kind": "squeezed", "alpha": -1, "spin": 1.3}, "spin 1.3 is not"),
+    ], ids=["kind", "keys", "numbers", "spin-bound", "spin-layout"])
+    def test_first_scenario_error_wins(self, block, message):
+        # unknown kind, then unknown keys, then numbers in the order of the
+        # defaults, then the spin bound, then the layout and the parameters
+        with pytest.raises(ConfigInvalid, match=message):
+            load_config("x", {"scenario": block})
 
 
 class TestCsv:
@@ -153,8 +183,8 @@ class TestRun:
         # a single spin has no bipartition: negativity and MID are exactly 0
         assert np.all(rows[:, 3] == 0.0) and np.all(rows[:, 4] == 0.0)
         # HSS = sqrt(sum_k e^{-2 k^2 gamma}) / (2s + 1); the config's
-        # defaults are the figure bath of qudit_scenario
-        scen, k = qudit_scenario(1.5), np.arange(1, 4)
+        # defaults are the figure bath of the squeezed kind
+        scen, k = scenario("squeezed", spin=1.5), np.arange(1, 4)
         for tau, got in rows[:, :2]:
             want = np.sqrt(np.exp(-2 * k**2 * bath_gamma(scen, tau)).sum()) / 4
             assert abs(got - want) < 1e-10
@@ -189,12 +219,13 @@ class TestRun:
         tiny_config(outputs="csv"),
         tiny_config(scenario="rtn_independent"),
         tiny_config(scenario={"kind": "rtn_common"}, tau_max=1e-320),
+        tiny_config(scenario={"kind": "rtn_independent", "nu": 1}),
     ], ids=["array", "string-q", "string-nan", "nan", "bool", "float-grid",
             "string-grid", "unknown-scenario-key", "unknown-top-key",
             "negative-alpha", "p-with-spin", "p-with-six-level-spin",
             "huge-spin", "negative-nu-ratio", "p-out-of-range",
             "outputs-not-list", "scenario-not-object",
-            "underflowing-grid-step"])
+            "underflowing-grid-step", "telegraph-nu"])
     def test_invalid_config_exit_code_2(self, tmp_path, raw):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
@@ -316,6 +347,16 @@ def test_validate_reports_gamma_margin():
     assert passed
     assert text.startswith("gamma-closed/quadrature: max rel deviation")
     assert text.endswith("(tol 1e-08)")
+
+
+def test_validate_checks_the_kinds_table(monkeypatch):
+    # the golden tables check the couplings that run uses: a wrong sign on the
+    # common source's qutrit winding fails them
+    defaults, bath, _ = KINDS["rtn_common"]
+    monkeypatch.setitem(KINDS, "rtn_common", (defaults, bath, ((2, -1),)))
+    failed = [text for passed, text in validation.run_validation(trials=1000)
+              if not passed]
+    assert [t for t in failed if t.startswith("golden/") and "-rtn-common:" in t]
 
 
 def test_validate_prints_the_rows(capsys, monkeypatch):

@@ -56,8 +56,7 @@ INF = math.inf
     lambda: SqueezedBathParams(SUPER, r=NAN),
     lambda: SqueezedBathParams(SUPER, theta=NAN),
     lambda: SqueezedBathParams(SUPER, theta=math.inf),
-    lambda: RtnParams(nu=NAN),
-    lambda: RtnParams(gamma_rate=NAN),
+    lambda: RtnParams(q=NAN),
     lambda: rtn_dn(1, NAN, 1.0),
     lambda: rtn_dn(1, 0.1, NAN),
     lambda: OhmicSpectralDensity(INF, 3.0, 20.0),
@@ -65,14 +64,13 @@ INF = math.inf
     lambda: OhmicSpectralDensity(0.1, 3.0, INF),
     lambda: ThermalBathParams(SUPER, temperature=INF),
     lambda: SqueezedBathParams(SUPER, r=INF),
-    lambda: RtnParams(nu=INF),
-    lambda: RtnParams(gamma_rate=INF),
+    lambda: RtnParams(q=INF),
     lambda: rtn_dn(1, INF, 1.0),
     lambda: rtn_dn(1, 0.1, INF),
 ], ids=["alpha", "s_ohmic", "omega_c", "temperature", "r", "theta-nan",
-        "theta-inf", "nu", "gamma_rate", "rtn_dn-q", "rtn_dn-tau",
+        "theta-inf", "q", "rtn_dn-q", "rtn_dn-tau",
         "alpha-inf", "s_ohmic-inf", "omega_c-inf", "temperature-inf", "r-inf",
-        "nu-inf", "gamma_rate-inf", "rtn_dn-q-inf", "rtn_dn-tau-inf"])
+        "q-inf", "rtn_dn-q-inf", "rtn_dn-tau-inf"])
 def test_nan_parameters_rejected(make):
     with pytest.raises(InvalidParams):
         make()

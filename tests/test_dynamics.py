@@ -8,7 +8,8 @@ from hsswitness import dynamics
 from hsswitness.decoherence import RtnParams, gamma_squeezed, rtn_dn
 from hsswitness.dynamics import (QUBIT_QUTRIT, Environment, Scenario,
                                  SpinLayout, bath_gamma, evolve,
-                                 factor_matrix, initial_mixed, initial_pure)
+                                 factor_matrix, initial_mixed, initial_pure,
+                                 scenario)
 from hsswitness.errors import InvalidP, InvalidParams, UnsupportedScenario
 from hsswitness.hilbert import hermitian_eigenvalues
 from hsswitness.witnesses import BLOCK_ENTRIES, compute_series
@@ -16,10 +17,11 @@ from hsswitness.validation import (golden_mixed, golden_mixed_common,
                                    golden_pure_composite,
                                    golden_pure_rtn_common,
                                    golden_pure_rtn_independent,
-                                   golden_pure_squeezed, figure_bath,
-                                   mixed_coherence_factor, qudit_scenario,
-                                   scenario_composite, scenario_rtn,
-                                   scenario_squeezed)
+                                   golden_pure_squeezed,
+                                   mixed_coherence_factor)
+
+#: the squeezed bath at the figure parameters
+FIGURE_BATH = scenario("squeezed").environment.bath
 
 
 def first_ket_mask(d):
@@ -36,8 +38,12 @@ class TestLayout:
         assert SpinLayout((1.5,)).dims == (4,)
 
     def test_z_labels(self):
-        assert np.allclose(QUBIT_QUTRIT.z_labels(0), [0.5, -0.5])
-        assert np.allclose(QUBIT_QUTRIT.z_labels(1), [1, 0, -1])
+        # the coupling tables read Delta = z_n - z_m per spin, with the z
+        # labels [s, s-1, ..., -s] of each spin in tensor-product order
+        zq, zt = np.repeat([0.5, -0.5], 3), np.tile([1, 0, -1], 2)
+        W, K = dynamics._coupling_tables(QUBIT_QUTRIT, ((1, 0),), ((0, 1),))
+        assert np.array_equal(W, (zq[:, None] - zq[None, :]) ** 2)
+        assert np.array_equal(K[0], np.abs(zt[:, None] - zt[None, :]))
 
     def test_rejects_non_half_integer(self):
         with pytest.raises(InvalidParams):
@@ -88,14 +94,14 @@ class TestDephaseSingle:
     """A single spin-s qudit dephases as rho_nm -> rho_nm exp(-(n-m)^2 gamma)."""
 
     def test_identity_at_gamma_zero(self):
-        scen = qudit_scenario(1.5)
+        scen = scenario("squeezed", spin=1.5)
         rho = initial_pure(scen.layout, 0.7)
         assert bath_gamma(scen, 0.0) == 0.0
         out = evolve(scen, rho, 0.0)
         assert np.allclose(out.matrix, rho.matrix)
 
     def test_spin_half_factor(self):
-        scen, tau = qudit_scenario(0.5), 0.8
+        scen, tau = scenario("squeezed", spin=0.5), 0.8
         g = bath_gamma(scen, tau)
         assert g > 0.01
         out = evolve(scen, initial_pure(scen.layout, 0.0), tau)
@@ -103,7 +109,7 @@ class TestDephaseSingle:
 
     def test_extreme_element_exponent(self):
         # (n - m) = 3 coherence of a spin-3/2 damps as e^{-9 gamma}
-        scen, tau = qudit_scenario(1.5), 0.8
+        scen, tau = scenario("squeezed", spin=1.5), 0.8
         g = bath_gamma(scen, tau)
         out = evolve(scen, initial_pure(scen.layout, 0.0), tau)
         assert abs(out.matrix[0, 3] - 0.25 * np.exp(-9 * g)) < 1e-14
@@ -117,12 +123,12 @@ class TestElementFactor:
             assert np.diag(factor_matrix(scen, 1.3)) == pytest.approx(np.ones(6))
 
     def test_common_rtn_decoherence_free_pair(self):
-        scen = scenario_rtn(0.1, common=True)
+        scen = scenario("rtn_common", q=0.1)
         # |02><10|: qubit winding +2, qutrit winding -2 cancel exactly
         assert factor_matrix(scen, 5.0)[2, 3] == pytest.approx(1.0)
 
     def test_independent_rtn_mixed_element(self):
-        scen = scenario_rtn(0.1)
+        scen = scenario("rtn_independent", q=0.1)
         tau = 2.5
         # |00><11|: qubit sees D_2, qutrit sees D_1
         got = factor_matrix(scen, tau)[0, 4]
@@ -143,9 +149,9 @@ class TestBathGammaOncePerState:
         monkeypatch.setattr(dynamics, "gamma_squeezed", counted)
         return calls
 
-    @pytest.mark.parametrize("make", [scenario_squeezed,
-                                      lambda: scenario_composite(0.1),
-                                      lambda: qudit_scenario(1.5)],
+    @pytest.mark.parametrize("make", [lambda: scenario("squeezed"),
+                                      lambda: scenario("composite", q=0.1),
+                                      lambda: scenario("squeezed", spin=1.5)],
                              ids=["squeezed", "composite", "spin-3/2"])
     def test_one_call_per_evolve(self, monkeypatch, make):
         scen = make()
@@ -155,10 +161,10 @@ class TestBathGammaOncePerState:
             assert len(calls) == k
 
     @pytest.mark.parametrize("make,p", [
-        (scenario_squeezed, None), (scenario_squeezed, 0.3),
-        (lambda: scenario_composite(0.1), None),
-        (lambda: scenario_composite(0.1), 0.3),
-        (lambda: qudit_scenario(1.5), None)],
+        (lambda: scenario("squeezed"), None), (lambda: scenario("squeezed"), 0.3),
+        (lambda: scenario("composite", q=0.1), None),
+        (lambda: scenario("composite", q=0.1), 0.3),
+        (lambda: scenario("squeezed", spin=1.5), None)],
         ids=["squeezed-pure", "squeezed-mixed", "composite-pure",
              "composite-mixed", "spin-3/2-pure"])
     def test_one_call_per_block(self, monkeypatch, make, p):
@@ -176,7 +182,7 @@ class TestGoldenTables:
     PHI = 0.77
 
     def test_pure_squeezed(self):
-        scen = scenario_squeezed()
+        scen = scenario("squeezed")
         for tau in (0.1, 0.5, 1.7):
             g = bath_gamma(scen, tau)
             got = evolve(scen, initial_pure(QUBIT_QUTRIT, self.PHI), tau)
@@ -184,7 +190,7 @@ class TestGoldenTables:
                           - golden_pure_squeezed(g, self.PHI)).max() < 1e-12
 
     def test_pure_rtn_independent(self):
-        scen = scenario_rtn(0.1)
+        scen = scenario("rtn_independent", q=0.1)
         for tau in (0.5, 4.0, 15.0):
             d1, d2 = rtn_dn(1, 0.1, tau), rtn_dn(2, 0.1, tau)
             got = evolve(scen, initial_pure(QUBIT_QUTRIT, self.PHI), tau)
@@ -192,7 +198,7 @@ class TestGoldenTables:
                           - golden_pure_rtn_independent(d1, d2, self.PHI)).max() < 1e-12
 
     def test_pure_rtn_common(self):
-        scen = scenario_rtn(0.1, common=True)
+        scen = scenario("rtn_common", q=0.1)
         for tau in (0.5, 4.0, 15.0):
             d = [rtn_dn(n, 0.1, tau) for n in (1, 2, 3, 4)]
             got = evolve(scen, initial_pure(QUBIT_QUTRIT, self.PHI), tau)
@@ -200,7 +206,7 @@ class TestGoldenTables:
                           - golden_pure_rtn_common(*d, self.PHI)).max() < 1e-12
 
     def test_pure_composite(self):
-        scen = scenario_composite(0.1)
+        scen = scenario("composite", q=0.1)
         for tau in (0.1, 0.8, 2.0):
             g = bath_gamma(scen, tau)
             d2 = rtn_dn(2, 0.1, 100.0 * tau)
@@ -211,7 +217,7 @@ class TestGoldenTables:
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.4])
     def test_mixed_all_scenarios(self, p, all_qubit_qutrit_scenarios):
         tau = 1.5
-        g = bath_gamma(scenario_squeezed(), tau)
+        g = bath_gamma(scenario("squeezed"), tau)
         factors = {
             "squeezed": np.exp(-5 * g),
             "rtn-independent": rtn_dn(2, 0.1, tau) ** 2,
@@ -228,7 +234,7 @@ class TestGoldenTables:
 
     def test_mixed_factor_needs_qubit_qutrit(self):
         with pytest.raises(UnsupportedScenario):
-            mixed_coherence_factor(qudit_scenario(2.5), 1.0)
+            mixed_coherence_factor(scenario("squeezed", spin=2.5), 1.0)
 
 
 class TestEvolutionProperties:
@@ -263,7 +269,7 @@ class TestEvolutionProperties:
             assert np.abs(shifted_then_evolved - evolved_then_shifted).max() < 1e-12
 
     def test_common_rtn_p0_time_invariant(self):
-        scen = scenario_rtn(0.1, common=True)
+        scen = scenario("rtn_common", q=0.1)
         rho0 = initial_mixed(0.0)
         for tau in (0.5, 3.0, 12.0, 30.0):
             drift = evolve(scen, rho0, tau).matrix - rho0.matrix
@@ -273,11 +279,11 @@ class TestEvolutionProperties:
         # the independent-telegraph couplings name two spins
         with pytest.raises(UnsupportedScenario):
             Scenario(SpinLayout((1.5,)), Environment(
-                rtn=RtnParams(1.0, 0.1), rtn_couplings=((2, 0), (0, 1))))
+                rtn=RtnParams(0.1), rtn_couplings=((2, 0), (0, 1))))
 
 
 class TestEnvironmentChecks:
-    TELEGRAPH = RtnParams(1.0, 0.1)
+    TELEGRAPH = RtnParams(0.1)
 
     @pytest.mark.parametrize("kwargs", [
         {},
@@ -301,12 +307,12 @@ class TestEnvironmentChecks:
         assert env.rtn_couplings == ((2, 1),)
 
     def test_coupling_length_must_match_layout(self):
-        env = Environment(bath=figure_bath(), bath_couplings=((1,),))
+        env = Environment(bath=FIGURE_BATH, bath_couplings=((1,),))
         with pytest.raises(UnsupportedScenario):
             Scenario(QUBIT_QUTRIT, env)
 
     def test_three_spins_rejected(self):
-        env = Environment(bath=figure_bath(),
+        env = Environment(bath=FIGURE_BATH,
                           bath_couplings=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(UnsupportedScenario):
             Scenario(SpinLayout((0.5, 0.5, 0.5)), env)
@@ -314,7 +320,7 @@ class TestEnvironmentChecks:
     def test_evolve_needs_the_layout_dims(self):
         # a spin-5/2 has the mixed state's 6 levels but not its two subsystems
         with pytest.raises(UnsupportedScenario):
-            evolve(qudit_scenario(2.5), initial_mixed(0.3), 1.0)
+            evolve(scenario("squeezed", spin=2.5), initial_mixed(0.3), 1.0)
 
 
 def spin_z(s):
@@ -352,11 +358,7 @@ class TestCouplingOracle:
     @pytest.mark.parametrize("kind", ["squeezed", "thermal", "rtn_independent",
                                       "rtn_common", "composite"])
     def test_qubit_qutrit_kinds(self, kind, q):
-        from hsswitness.cli import load_config
-        spec = {"kind": kind}
-        if kind.startswith("rtn") or kind == "composite":
-            spec["q"] = q
-        scen = load_config(kind, {"scenario": spec}).scenario
+        scen = scenario(kind, **({} if kind in ("squeezed", "thermal") else {"q": q}))
         sigma_z, sz2, i2 = 2 * spin_z(0.5), spin_z(0.5), np.eye(2)
         sz3, i3 = spin_z(1), np.eye(3)
         qubit, qutrit = label_gaps((sz2, i3)), label_gaps((i2, sz3))
@@ -378,9 +380,9 @@ class TestCouplingOracle:
     def test_qudits(self, s):
         gaps = label_gaps((spin_z(s),))
         bath = Scenario(SpinLayout((s,)), Environment(
-            bath=figure_bath(), bath_couplings=((1,),)))
+            bath=FIGURE_BATH, bath_couplings=((1,),)))
         telegraph = Scenario(SpinLayout((s,)), Environment(
-            rtn=RtnParams(1.0, 0.37), rtn_couplings=((1,),)))
+            rtn=RtnParams(0.37), rtn_couplings=((1,),)))
         for tau in self.TAUS:
             assert np.abs(factor_matrix(bath, tau)
                           - oracle_factors(bath, tau, [gaps], [])).max() < 1e-14
@@ -390,7 +392,7 @@ class TestCouplingOracle:
     @pytest.mark.parametrize("s", [0.5, 1.0], ids=["qubit-qubit", "qutrit-qutrit"])
     def test_equal_spin_pairs(self, s):
         scen = Scenario(SpinLayout((s, s)), Environment(
-            bath=figure_bath(), bath_couplings=((1, 0), (0, 1))))
+            bath=FIGURE_BATH, bath_couplings=((1, 0), (0, 1))))
         sz, eye = spin_z(s), np.eye(int(2 * s) + 1)
         gaps = [label_gaps((sz, eye)), label_gaps((eye, sz))]
         for tau in self.TAUS:
@@ -423,9 +425,9 @@ def factor_matrix_reference(scen, t):
 
 
 TABLE_SCENARIOS = pytest.mark.parametrize(
-    "make", [scenario_squeezed, lambda: scenario_rtn(0.1),
-             lambda: scenario_rtn(3.0, common=True),
-             lambda: scenario_composite(0.1), lambda: qudit_scenario(2.5)],
+    "make", [lambda: scenario("squeezed"), lambda: scenario("rtn_independent"),
+             lambda: scenario("rtn_common", q=3.0), lambda: scenario("composite"),
+             lambda: scenario("squeezed", spin=2.5)],
     ids=["squeezed", "rtn-independent", "rtn-common", "composite", "spin-5/2"])
 
 

@@ -13,21 +13,26 @@ DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 #: oracles and test-only helpers that live outside the package namespace
 NOT_EXPORTED = ("chi_qudit_closed", "hss_finite_difference", "trace_norm",
                 "hs_distance", "rtn_dn_montecarlo", "mixed_coherence_factor",
-                "tie_break_reference")
+                "tie_break_reference", "negativity_closed", "mid_closed")
 #: oracles moved out of the production modules into validation
 MOVED = ("rtn_dn_montecarlo", "_mc_chunk", "_MC_CHUNK", "MC_MAX_Q_TAU",
          "MC_MAX_TRIALS", "mixed_coherence_factor")
 #: names deleted from the library: the per-kind environment classes and the
 #: phase-family wrapper, replaced by Environment and DensityMatrix; the
 #: per-element factor and the single-matrix Hermiticity helpers, replaced by
-#: factor_matrix and the stacked checks of DensityMatrix
+#: factor_matrix and the stacked checks of DensityMatrix; helpers that no
+#: production code called, replaced by reduced_matrix and entropy_bits; and
+#: the hand-copied scenario builders, replaced by dynamics.scenario
 DELETED = ("ThermalOhmic", "SqueezedVacuum", "RtnIndependent", "RtnCommon",
            "CompositeRtnSqueezed", "PhiFamily", "element_factor",
-           "herm_defect", "require_hermitian")
+           "herm_defect", "require_hermitian", "partial_trace",
+           "von_neumann_entropy", "z_labels", "figure_bath",
+           "scenario_squeezed", "scenario_rtn", "scenario_composite",
+           "qudit_scenario", "_telegraph")
 
 
 def test_all_names_resolve():
-    assert len(hsswitness.__all__) <= 25
+    assert len(hsswitness.__all__) <= 24
     assert len(set(hsswitness.__all__)) == len(hsswitness.__all__)
     for name in hsswitness.__all__:
         getattr(hsswitness, name)
@@ -49,9 +54,10 @@ def test_oracles_live_in_validation(name):
 
 @pytest.mark.parametrize("name", DELETED)
 def test_deleted_names_are_gone(name):
-    from hsswitness import dynamics, hilbert
-    for module in (hsswitness, dynamics, hilbert):
-        assert not hasattr(module, name)
+    from hsswitness import cli, dynamics, hilbert, validation
+    for owner in (hsswitness, cli, dynamics, hilbert, validation,
+                  dynamics.SpinLayout):
+        assert not hasattr(owner, name)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

@@ -13,15 +13,14 @@ from hsswitness.decoherence import rtn_dn
 from hsswitness.decoherence import OhmicSpectralDensity, ThermalBathParams
 from hsswitness.dynamics import (QUBIT_QUTRIT, Environment, Scenario,
                                  SpinLayout, bath_gamma, evolve, initial_mixed,
-                                 initial_pure)
+                                 initial_pure, scenario)
 from hsswitness.errors import NotDensityMatrix, UnsupportedScenario
 from hsswitness.hilbert import DensityMatrix, reduced_matrix
 from hsswitness.validation import (chi_qudit_closed, golden_pure_composite,
                                    golden_pure_rtn_common,
                                    golden_pure_rtn_independent,
                                    golden_pure_squeezed, hss_finite_difference,
-                                   mixed_coherence_factor, qudit_scenario,
-                                   scenario_rtn, tie_break_reference)
+                                   mixed_coherence_factor, tie_break_reference)
 from hsswitness.witnesses import (DEGENERACY_GAP, PLATEAU_TOL, WitnessSeries,
                                   _intervals_where, chi_series, compute_series,
                                   extrema_report, hss, mid, mid_closed,
@@ -81,7 +80,7 @@ class TestHss:
                 assert abs(hss(rho) - fd) < 1e-6
 
     def test_fd_phi_shift_invariant(self):
-        scen = scenario_rtn(0.1)
+        scen = scenario("rtn_independent", q=0.1)
         a = hss_finite_difference(scen, 1.0, 0.5)
         b = hss_finite_difference(scen, 1.0, 0.5 + np.pi)
         assert abs(a - b) < 1e-10
@@ -141,13 +140,13 @@ class TestChi:
 
     def test_markov_regime_flat(self):
         grid = np.linspace(0, 30, 300)
-        series = compute_series(scenario_rtn(10.0), grid)
+        series = compute_series(scenario("rtn_independent", q=10.0), grid)
         assert np.all(series.chi <= 1e-8)
         assert series.nonmarkov_intervals == ()
 
     def test_nonmarkov_regime_revivals(self):
         grid = np.linspace(0, 30, 300)
-        series = compute_series(scenario_rtn(0.1), grid)
+        series = compute_series(scenario("rtn_independent", q=0.1), grid)
         assert len(series.nonmarkov_intervals) >= 1
 
 
@@ -156,7 +155,7 @@ class TestSeries:
     def test_mixed_p_needs_qubit_qutrit(self, spin):
         # spin 2.5 has the mixed state's 6 levels but not its two subsystems
         with pytest.raises(UnsupportedScenario):
-            compute_series(qudit_scenario(spin), np.linspace(0, 1, 16),
+            compute_series(scenario("squeezed", spin=spin), np.linspace(0, 1, 16),
                            mixed_p=0.3)
 
     def test_stacked_witnesses_match_single_states(self, random_density_matrices):
@@ -177,7 +176,8 @@ class TestSeries:
         monkeypatch.setattr(witnesses, "_tie_break",
                             lambda ev, vec: calls.append(len(ev)) or tie_break(ev, vec))
         blocks = math.ceil(600 / (witnesses.BLOCK_ENTRIES // 36))
-        compute_series(scenario_rtn(0.1), np.linspace(0, 30, 600), mixed_p=0.3)
+        compute_series(scenario("rtn_independent", q=0.1), np.linspace(0, 30, 600),
+                       mixed_p=0.3)
         assert 0 < len(calls) <= 2 * blocks
         calls.clear()
         preset_series("fig7")
@@ -192,7 +192,8 @@ class TestSeries:
             solve = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve:
                                 solved.append((name, a.shape)) or solve(a))
-        compute_series(scenario_rtn(0.1), np.linspace(0, 30, 100), mixed_p=mixed_p)
+        compute_series(scenario("rtn_independent", q=0.1), np.linspace(0, 30, 100),
+                       mixed_p=mixed_p)
         families = 1 if mixed_p is None else 2
         initial = [("eigvalsh", (6, 6))] * families
         block = ([("eigvalsh", (100, 6, 6))] * (families + 1)  # states, negativity
@@ -237,7 +238,7 @@ class TestBlockSize:
                                      phi=config.phi, mixed_p=config.p)
 
     def test_spin_five_halves(self, monkeypatch):
-        self.assert_equal_per_budget(monkeypatch, qudit_scenario(2.5),
+        self.assert_equal_per_budget(monkeypatch, scenario("squeezed", spin=2.5),
                                      np.linspace(0.0, 3.0, 600))
 
     def test_spin_pair_under_a_common_bath(self, monkeypatch):
@@ -248,7 +249,7 @@ class TestBlockSize:
     @pytest.mark.parametrize("mixed_p", [None, 0.3])
     def test_uneven_last_block(self, monkeypatch, mixed_p):
         # 1,001 = 3 x 300 + 101 = 7 x 128 + 105
-        self.assert_equal_per_budget(monkeypatch, scenario_rtn(0.1),
+        self.assert_equal_per_budget(monkeypatch, scenario("rtn_independent", q=0.1),
                                      np.linspace(0.0, 30.0, 1001), mixed_p=mixed_p)
 
     @pytest.mark.parametrize("mixed_p", [None, 0.3])
@@ -259,7 +260,7 @@ class TestBlockSize:
             monkeypatch.setattr(witnesses, "BLOCK_ENTRIES", states * 36)
             with pytest.raises(NotDensityMatrix,
                                match=r"^minimum eigenvalue -1\.711e-09 < -1e-09$"):
-                compute_series(scenario_rtn(3 + 9e-7, common=True),
+                compute_series(scenario("rtn_common", q=3 + 9e-7),
                                np.linspace(0.0, 30.0, 600), mixed_p=mixed_p)
 
 
@@ -521,7 +522,7 @@ class TestExtrema:
 
     def test_alignment_in_nonmarkov_regime(self):
         grid = np.linspace(0, 30, 600)
-        series = compute_series(scenario_rtn(0.1), grid)
+        series = compute_series(scenario("rtn_independent", q=0.1), grid)
         report = extrema_report(series)
         step = grid[1] - grid[0]
         for t, info in report.alignment.items():
@@ -648,7 +649,7 @@ class TestContractivity:
         # fast telegraph noise and a monotone thermal Ohmic bath are
         # memoryless: the speed must never increase beyond derivative noise
         grid = np.linspace(0, 30, 300)
-        series = compute_series(scenario_rtn(10.0), grid)
+        series = compute_series(scenario("rtn_independent", q=10.0), grid)
         assert np.all(np.diff(series.hss) <= 1e-8)
 
         from hsswitness.decoherence import (OhmicSpectralDensity,

@@ -2,8 +2,8 @@
 
 All states are plain ``numpy`` complex arrays wrapped in :class:`DensityMatrix`,
 which records how the Hilbert space factors into subsystems.  A matrix may
-carry leading axes (a stack of states, one per grid point); every operation
-acts state by state, and a stack is checked by one batched eigensolve.
+carry leading axes (a stack of states, one per grid point): operations act state
+by state; a stack is checked by one batched eigensolve, of a similar stack if given.
 Operations are pure functions; nothing here mutates its inputs.
 
 Convention: the von Neumann entropy uses the base-2 logarithm everywhere.
@@ -13,7 +13,7 @@ eigensolve path and the closed-form correlation expressions agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -85,13 +85,16 @@ class DensityMatrix:
     for a single spin-s qudit).  ``matrix`` may carry leading axes, a stack
     of states such as one per grid point: every state is checked, by one
     batched eigensolve.  ``spectrum`` keeps its eigenvalues, ascending.
+    ``_similar`` (private, for ``compute_series``) is a stack unitarily similar
+    to ``matrix``, checked and solved in its place.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _similar: InitVar[np.ndarray | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _similar):
         m = _as_complex(self.matrix)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -100,7 +103,8 @@ class DensityMatrix:
         if int(np.prod(self.dims)) != m.shape[-1]:
             raise ValueError(
                 f"dims {self.dims} inconsistent with matrix dim {m.shape[-1]}")
-        object.__setattr__(self, "spectrum", checked_solve(m, np.linalg.eigvalsh))
+        object.__setattr__(self, "spectrum", checked_solve(
+            m if _similar is None else _similar, np.linalg.eigvalsh))
 
     @property
     def dim(self) -> int:

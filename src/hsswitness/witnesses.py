@@ -5,9 +5,10 @@ phase-encoded family, its time derivative chi (the memory witness: chi > 0
 flags non-Markovian intervals), the entanglement negativity, and the
 measurement-induced disturbance (MID), plus an extrema report aligning HSS
 revivals with those of negativity/MID.  Every witness takes a single state
-or a stack, with no Python loop over states: MID solves each marginal by
-one ``eigh`` and tie-breaks degenerate ones as one stack.  ``compute_series``
-evaluates the grid in memory-budgeted blocks of stacked states;
+or a stack, with no Python loop over states: MID reads a diagonal marginal
+off its diagonal, else solves it by one ``eigh`` and tie-breaks degenerate
+ones as one stack.  ``compute_series`` evaluates the grid in blocks of
+stacked states, the pure one checked through its real F / d;
 ``extrema_report`` loops in Python once per plateau, not per grid point.
 The closed forms are the oracles of the mixed family.
 """
@@ -118,10 +119,25 @@ def _tie_break(ev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return basis[np.arange(d) - first, :, label, np.arange(k)[:, None]].swapaxes(-1, -2)
 
 
+def _diagonal_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` + ``_tie_break`` of a diagonal stack, read off: the diagonal ascending,
+    and unit vectors by cluster (gap < DEGENERACY_GAP), then by index within one."""
+    ev = h.diagonal(0, -2, -1).real
+    at = np.argsort(ev, -1)
+    ev = np.take_along_axis(ev, at, -1)
+    label = np.cumsum(np.diff(ev, prepend=ev[..., :1]) >= DEGENERACY_GAP, -1)
+    order = np.sort(label * ev.shape[-1] + at, -1) % ev.shape[-1]
+    return ev, (np.arange(ev.shape[-1])[:, None] == order[..., None, :]).astype(complex)
+
+
 def _eigenbases(rho: DensityMatrix, keep: int) -> np.ndarray:
     """Eigenvectors (columns) of marginal ``keep`` of a state or stack, from
-    the one ``eigh`` that checks it; degenerate ones tie-broken together."""
-    ev, vec = checked_solve(reduced_matrix(rho, keep), np.linalg.eigh)
+    the one solve that checks it: read off a diagonal stack, else one ``eigh``
+    with the degenerate ones tie-broken together."""
+    m = reduced_matrix(rho, keep)
+    if not m[..., ~np.eye(m.shape[-1], dtype=bool)].any():
+        return checked_solve(m, _diagonal_eigh)[1]
+    ev, vec = checked_solve(m, np.linalg.eigh)
     degenerate = (np.diff(ev) < DEGENERACY_GAP).any(-1)
     if degenerate.any():
         vec[degenerate] = _tie_break(ev[degenerate], vec[degenerate])
@@ -200,10 +216,14 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
     practice.  A single spin has no bipartition: under the trivial split
     both are exactly 0.
 
-    The grid runs in blocks of BLOCK_ENTRIES matrix entries (300 points of the
-    pair), each evaluating the damping factors once for both families and checking
-    each family as one stack; the series do not depend on the block size."""
+    The grid (1-D, finite, strictly increasing, >= 2 points) runs in blocks of
+    BLOCK_ENTRIES entries, each evaluating F once for both families and checking
+    each as one stack (the pure one as F / d): no series depends on the block size."""
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if (tau_grid.ndim != 1 or tau_grid.size < 2 or not np.isfinite(tau_grid).all()
+            or (np.diff(tau_grid) <= 0).any()):
+        raise InvalidParams("tau grid must be a finite, strictly increasing "
+                            "1-D array of >= 2 points")
     if mixed_p is not None and scenario.layout.dims != (2, 3):
         raise UnsupportedScenario("mixed_p needs the qubit-qutrit layout")
     pure0 = initial_pure(scenario.layout, phi)
@@ -214,7 +234,8 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
     for start in range(0, tau_grid.size, step):
         block = slice(start, start + step)
         F = factor_matrix(scenario, tau_grid[block])
-        pure = DensityMatrix(pure0.matrix * F, pure0.dims)
+        # |psi_i|^2 = 1/d, so pure0 * F = D (F / d) D^dagger with D unitary diagonal
+        pure = DensityMatrix(pure0.matrix * F, pure0.dims, _similar=F / pure0.dim)
         hss_vals[block] = hss(pure)
         if len(pure0.dims) == 1:
             continue

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsswitness import witnesses
@@ -11,11 +12,12 @@ from hsswitness.cli import PRESETS, load_config
 
 from hsswitness.decoherence import rtn_dn
 from hsswitness.decoherence import OhmicSpectralDensity, ThermalBathParams
-from hsswitness.dynamics import (QUBIT_QUTRIT, Environment, Scenario,
-                                 SpinLayout, bath_gamma, evolve, initial_mixed,
-                                 initial_pure, scenario)
-from hsswitness.errors import NotDensityMatrix, UnsupportedScenario
-from hsswitness.hilbert import DensityMatrix, reduced_matrix
+from hsswitness.dynamics import (KINDS, QUBIT_QUTRIT, Environment, Scenario,
+                                 SpinLayout, bath_gamma, evolve, factor_matrix,
+                                 initial_mixed, initial_pure, scenario)
+from hsswitness.errors import (InvalidParams, NotDensityMatrix, NotHermitian,
+                               UnsupportedScenario)
+from hsswitness.hilbert import DensityMatrix, checked_solve, reduced_matrix
 from hsswitness.validation import (chi_qudit_closed, golden_pure_composite,
                                    golden_pure_rtn_common,
                                    golden_pure_rtn_independent,
@@ -167,10 +169,10 @@ class TestSeries:
             assert np.abs(got - [f(r) for r in states]).max() < 1e-12
 
     def test_tie_break_once_per_marginal_and_block(self, monkeypatch):
-        # the mixed family's marginals are diagonal and degenerate at every
-        # time; fig7's qubit marginal is degenerate at 561 of its 600 points,
-        # each one different in its last bits: either way one stacked
-        # Gram-Schmidt per marginal and block
+        # the mixed family's marginals are diagonal at every time, so their
+        # eigenbases are read off with no tie-break; fig7's qubit marginal is
+        # degenerate at 561 of its 600 points, each one different in its last
+        # bits: one stacked Gram-Schmidt per marginal and block
         calls = []
         tie_break = witnesses._tie_break
         monkeypatch.setattr(witnesses, "_tie_break",
@@ -178,27 +180,51 @@ class TestSeries:
         blocks = math.ceil(600 / (witnesses.BLOCK_ENTRIES // 36))
         compute_series(scenario("rtn_independent", q=0.1), np.linspace(0, 30, 600),
                        mixed_p=0.3)
-        assert 0 < len(calls) <= 2 * blocks
-        calls.clear()
+        assert calls == []
         preset_series("fig7")
         assert 0 < len(calls) <= 2 * blocks
         assert sum(calls) >= 561
 
     @pytest.mark.parametrize("mixed_p", [None, 0.3])
     def test_one_eigensolve_per_marginal(self, monkeypatch, mixed_p):
-        # one block: each stack is solved once, each marginal by one eigh
+        # one block: the pure stack is one real solve of F / d and the partial
+        # transposes one complex solve; the pure family's dense marginals take
+        # one eigh each, the mixed family's diagonal ones none
         solved = []
         for name in ("eigh", "eigvalsh"):
             solve = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve:
-                                solved.append((name, a.shape)) or solve(a))
+                                solved.append((name, a.shape, a.dtype.kind))
+                                or solve(a))
         compute_series(scenario("rtn_independent", q=0.1), np.linspace(0, 30, 100),
                        mixed_p=mixed_p)
-        families = 1 if mixed_p is None else 2
-        initial = [("eigvalsh", (6, 6))] * families
-        block = ([("eigvalsh", (100, 6, 6))] * (families + 1)  # states, negativity
-                 + [("eigh", (100, 2, 2)), ("eigh", (100, 3, 3))])
+        initial = [("eigvalsh", (6, 6), "c")] * (1 if mixed_p is None else 2)
+        block = [("eigvalsh", (100, 6, 6), "f"), ("eigvalsh", (100, 6, 6), "c")]
+        if mixed_p is None:
+            block += [("eigh", (100, 2, 2), "c"), ("eigh", (100, 3, 3), "c")]
+        else:  # the mixed state's own check
+            block += [("eigvalsh", (100, 6, 6), "c")]
         assert sorted(solved) == sorted(initial + block)
+
+    @pytest.mark.parametrize("mixed_p", [None, 0.3])
+    @pytest.mark.parametrize("grid", [
+        [0.0, 1.0, 1.0, 2.0], [2.0, 1.0], [[0.0, 1.0], [2.0, 3.0]], [0.5], [],
+        [0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]],
+        ids=["repeated", "decreasing", "2-d", "one-point", "empty", "nan",
+             "inf", "minus-inf"])
+    def test_bad_grid_rejected_before_the_first_block(self, monkeypatch, grid,
+                                                     mixed_p):
+        monkeypatch.setattr(witnesses, "factor_matrix",
+                            lambda *args: pytest.fail("a block was evaluated"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match="^tau grid must be a finite, "
+                               "strictly increasing 1-D array of >= 2 points$"):
+                compute_series(scenario("rtn_independent"), grid, mixed_p=mixed_p)
+
+    def test_two_point_grid(self):
+        series = compute_series(scenario("rtn_independent"), [0.0, 1.0], mixed_p=0.3)
+        assert series.hss.shape == series.mid.shape == (2,)
 
     def test_memory_does_not_grow_with_the_grid(self):
         # one unblocked (20000, 6, 6) complex stack alone would take 11.5 MB
@@ -428,6 +454,145 @@ def rotated(rng, spectrum):
     d = len(spectrum)
     q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q @ np.diag(spectrum) @ q.conj().T
+
+
+def outcome(f, *args):
+    """What f(*args) returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+@st.composite
+def damped_pure_blocks(draw):
+    """A kind (or a spin-5/2 qudit under the squeezed bath), a telegraph rate
+    slow, fast or within 1e-6 of the seam q = n, a phase and a block of tau."""
+    kind = draw(st.sampled_from(sorted(KINDS) + ["spin"]))
+    q = draw(st.one_of(st.floats(1e-3, 0.9), st.floats(5.0, 1e4),
+                       st.builds(lambda n, dq: n + dq, st.integers(1, 4),
+                                 st.floats(-9.99e-7, 9.99e-7))))
+    phi = draw(st.floats(-2 * np.pi, 2 * np.pi))
+    start, span = draw(st.floats(0.0, 30.0)), draw(st.floats(1e-3, 30.0))
+    grid = np.linspace(start, start + span, draw(st.integers(1, 64)))
+    if kind == "spin":
+        return scenario("squeezed", spin=2.5), phi, grid
+    return scenario(kind, **({"q": q} if "q" in KINDS[kind][0] else {})), phi, grid
+
+
+class TestPureStackThroughFactors:
+    """|psi_i|^2 = 1/d, so the pure stack pure0 * F is unitarily similar to the
+    real F / d: checking F / d checks the state, and gives its spectrum."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(damped_pure_blocks())
+    @example((scenario("rtn_common", q=3 + 9e-7), np.pi, np.linspace(0.0, 30.0, 600)))
+    def test_property(self, case):
+        scen, phi, grid = case
+        pure0 = initial_pure(scen.layout, phi)
+        F = factor_matrix(scen, grid)
+        got = outcome(checked_solve, F / pure0.dim, np.linalg.eigvalsh)
+        want = outcome(lambda: DensityMatrix(pure0.matrix * F, pure0.dims).spectrum)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and np.abs(got - want).max() <= 1e-14
+
+    def test_seam_failure(self):
+        F = factor_matrix(scenario("rtn_common", q=3 + 9e-7), np.linspace(0, 30, 600))
+        with pytest.raises(NotDensityMatrix, match=r"^minimum eigenvalue -1\.711e-09"):
+            checked_solve(F / 6, np.linalg.eigvalsh)
+
+
+def eigh_eigenbases(rho, keep):
+    """The marginal's eigenbases from eigh + _tie_break, diagonal or not."""
+    ev, vec = checked_solve(reduced_matrix(rho, keep), np.linalg.eigh)
+    degenerate = (np.diff(ev) < DEGENERACY_GAP).any(-1)
+    if degenerate.any():
+        vec[degenerate] = witnesses._tie_break(ev[degenerate], vec[degenerate])
+    return vec
+
+
+ULP_HALF = np.nextafter(0.5, 1.0)  # 0.5 + 1 ulp
+
+
+class TestDiagonalMarginals:
+    """A diagonal marginal stack (the mixed family's) is read off its diagonal,
+    with no eigh and no tie-break, bit for bit as eigh + _tie_break give it."""
+
+    @staticmethod
+    def mid_and_pi(monkeypatch, rho):
+        """MID of rho and the Pi(rho) diagonal it reads."""
+        seen = []
+        with monkeypatch.context() as m:
+            entropy = witnesses.entropy_bits
+            m.setattr(witnesses, "entropy_bits",
+                      lambda ev: seen.append(ev) or entropy(ev))
+            return mid(rho), seen[0]
+
+    def assert_bit_for_bit(self, monkeypatch, rho):
+        for keep in (0, 1):
+            marginal = reduced_matrix(rho, keep)
+            assert not marginal[..., ~np.eye(marginal.shape[-1], dtype=bool)].any()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", None)
+            m.setattr(witnesses, "_tie_break", None)
+            got = self.mid_and_pi(monkeypatch, rho)
+        with monkeypatch.context() as m:
+            m.setattr(witnesses, "_eigenbases", eigh_eigenbases)
+            want = self.mid_and_pi(monkeypatch, rho)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.5])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_mixed_family(self, monkeypatch, kind, p):
+        grid = np.linspace(0.0, 30.0 if kind.startswith("rtn") else 3.0, 300)
+        self.assert_bit_for_bit(monkeypatch, evolve(scenario(kind), initial_mixed(p), grid))
+
+    def test_near_tie_state(self, monkeypatch):
+        # marginal A is diag(0.5 + 1 ulp, 0.5), B diag(1 + 1 ulp, 0, 0)
+        rho = np.diag([ULP_HALF, 0, 0, 0.5, 0, 0]).astype(complex)
+        self.assert_bit_for_bit(monkeypatch, DensityMatrix(rho, (2, 3)))
+
+    @pytest.mark.parametrize("diagonal", [
+        (ULP_HALF, 0.5), (0.5, ULP_HALF), (0.5, 0.5), (0.3, 0.7), (0.7, 0.3),
+        (0.4, 0.3 + 0.999e-9, 0.3), (0.4, 0.3 + 1.001e-9, 0.3),
+        (0.2 + 1.2e-9, 0.4, 0.2, 0.2 + 0.6e-9), (0.25, 0.25, 0.25, 0.25),
+        (0.1, 0.3, 0.1, 0.3, 0.2)])
+    def test_near_ties(self, diagonal):
+        # every permutation of each diagonal, stacked
+        rng = np.random.default_rng(len(diagonal))
+        h = np.zeros((64, len(diagonal), len(diagonal)), complex)
+        h[:, np.arange(len(diagonal)), np.arange(len(diagonal))] = [
+            rng.permutation(diagonal) for _ in range(64)]
+        ev, vec = np.linalg.eigh(h)
+        degenerate = (np.diff(ev) < DEGENERACY_GAP).any(-1)
+        if degenerate.any():
+            vec[degenerate] = witnesses._tie_break(ev[degenerate], vec[degenerate])
+        got_ev, got_vec = witnesses._diagonal_eigh(h)
+        assert np.array_equal(got_ev, ev) and np.array_equal(got_vec, vec)
+        assert got_vec.dtype == vec.dtype
+
+    @pytest.mark.parametrize("flaw,exc", [
+        ((-2e-9, 0.5, 0.5 + 2e-9), NotDensityMatrix),
+        ((0.5, 0.5 + 2e-10, 0.0), NotDensityMatrix),
+        ((np.nan, 0.5, 0.5), ValueError),
+        ((0.5 + 2e-10j, 0.5, 0.0), NotHermitian)])
+    def test_checks_match_eigh(self, flaw, exc):
+        # the same exception and message for the first failing state
+        good = np.diag([0.2, 0.3, 0.5]).astype(complex)
+        bad = np.diag(flaw).astype(complex)
+        for stack, fails in ((bad, True), ([good, bad], True), ([bad, good], True),
+                             ([good, good], False)):
+            stack = np.array(stack)
+            got = outcome(checked_solve, stack, witnesses._diagonal_eigh)
+            want = outcome(checked_solve, stack, np.linalg.eigh)
+            assert isinstance(want[0], type) is fails
+            if fails:
+                assert got[0] is want[0] is exc and got[1] == want[1]
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestTieBreak:

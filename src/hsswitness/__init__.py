@@ -12,7 +12,7 @@ from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
                           ThermalBathParams, gamma_squeezed, gamma_thermal,
                           rtn_dn)
 from .dynamics import (QUBIT_QUTRIT, Environment, Scenario, SpinLayout,
-                       evolve, initial_mixed, initial_pure, scenario)
+                       initial_mixed, initial_pure, scenario)
 from .hilbert import DensityMatrix
 from .plotting import series_svg
 from .witnesses import (ExtremaReport, WitnessSeries, compute_series,
@@ -21,7 +21,7 @@ from .witnesses import (ExtremaReport, WitnessSeries, compute_series,
 __all__ = [
     "OhmicSpectralDensity", "RtnParams", "SqueezedBathParams",
     "ThermalBathParams", "gamma_squeezed", "gamma_thermal", "rtn_dn",
-    "QUBIT_QUTRIT", "Environment", "Scenario", "SpinLayout", "evolve",
+    "QUBIT_QUTRIT", "Environment", "Scenario", "SpinLayout",
     "initial_mixed", "initial_pure", "scenario",
     "DensityMatrix", "series_svg",
     "ExtremaReport", "WitnessSeries", "compute_series", "extrema_report",

@@ -1,4 +1,4 @@
-"""Evolved density matrices under pure dephasing.
+"""Scenarios, initial states and their damping factors under pure dephasing.
 
 A scenario pairs a spin layout (one spin-s qudit or a pair of spins) with an
 :class:`Environment`.  Every environment here is pure dephasing, so evolution
@@ -18,7 +18,9 @@ decoherence free.
 
 ``factor_matrix`` evaluates it on a whole array of tau: integer tables of
 sum_bath (c . Delta)^2 and |c . Delta| index one Gamma and one D_1 ... D_max
-per time, with no Python loop over elements.
+per time, with no Python loop over elements.  An evolved state is
+rho0 o F(tau); ``witnesses.compute_series`` reads it as that pair, and
+``validation.evolve`` multiplies it out as the dense reference.
 
 Dimensionless time conventions: tau = omega_0 * t for quantum baths,
 tau = nu * t for telegraph-only scenarios, nu the telegraph coupling, so
@@ -246,11 +248,3 @@ def factor_matrix(scenario: Scenario, tau) -> np.ndarray:
             out = out * D[..., k]
     return out
 
-
-def evolve(scenario: Scenario, rho: DensityMatrix, tau) -> DensityMatrix:
-    """Entrywise dephasing of a state of the scenario's layout at time(s) tau
-    (an array of tau gives the stack of evolved states, checked as one)."""
-    if rho.dims != scenario.layout.dims:
-        raise UnsupportedScenario(
-            f"state dims {rho.dims} do not match the layout {scenario.layout.dims}")
-    return DensityMatrix(rho.matrix * factor_matrix(scenario, tau), rho.dims)

@@ -3,7 +3,8 @@
 All states are plain ``numpy`` complex arrays wrapped in :class:`DensityMatrix`,
 which records how the Hilbert space factors into subsystems.  A matrix may
 carry leading axes (a stack of states, one per grid point): operations act state
-by state; a stack is checked by one batched eigensolve, of a similar stack if given.
+by state; ``checked_solve`` checks a stack by one batched eigensolve, whether a
+``DensityMatrix`` holds it or a series checks it in its own form.
 Operations are pure functions; nothing here mutates its inputs.
 
 Convention: the von Neumann entropy uses the base-2 logarithm everywhere.
@@ -13,7 +14,7 @@ eigensolve path and the closed-form correlation expressions agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,28 +23,6 @@ from .errors import BadSubsystemIndex, NotDensityMatrix, NotHermitian
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-9
-
-
-def _as_complex(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _hermitian_checks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """The stack with non-finite states zeroed (a copy only if there are any), its
-    (m + m^dagger) / 2 from one conjugate transpose, and its finite-entry and
-    Hermiticity checks in the form ``raise_first`` takes."""
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    if not finite.all():
-        m = np.where(finite[..., None, None], m, 0.0)
-    mh = m.conj().swapaxes(-1, -2)
-    defect = np.abs(m - mh).max(axis=(-2, -1))
-    return m, (m + mh) / 2.0, [
-        (~finite, ValueError, "matrix has non-finite entries", defect),
-        (defect > TOL_HERM, NotHermitian,
-         "Hermiticity defect {:.3e} exceeds " f"{TOL_HERM:.1e}", defect)]
 
 
 def spectrum_checks(trace, lowest) -> list:
@@ -67,12 +46,20 @@ def raise_first(checks: list) -> None:
 
 
 def checked_solve(m: np.ndarray, solver):
-    """``solver`` (``eigvalsh`` or ``eigh``) of a symmetrized state or stack,
-    which is checked as a density matrix: one eigensolve per state."""
-    m, h, checks = _hermitian_checks(m)
-    out = solver(h)
+    """``solver`` (``eigvalsh`` or ``eigh``) of (m + m^dagger) / 2 for a state or
+    stack m, checked as a density matrix: one eigensolve per state.  Non-finite
+    states are zeroed first, in a copy made only if there are any."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        m = np.where(finite[..., None, None], m, 0.0)
+    mh = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - mh).max(axis=(-2, -1))
+    out = solver((m + mh) / 2.0)
     ev = out[0] if isinstance(out, tuple) else out
-    raise_first(checks + spectrum_checks(np.trace(m, axis1=-2, axis2=-1), ev[..., 0]))
+    raise_first([(~finite, ValueError, "matrix has non-finite entries", defect),
+                 (defect > TOL_HERM, NotHermitian,
+                  "Hermiticity defect {:.3e} exceeds " f"{TOL_HERM:.1e}", defect)]
+                + spectrum_checks(np.trace(m, axis1=-2, axis2=-1), ev[..., 0]))
     return out
 
 
@@ -80,47 +67,33 @@ def checked_solve(m: np.ndarray, solver):
 class DensityMatrix:
     """A unit-trace Hermitian PSD matrix over an ordered tensor factorization.
 
-    ``dims`` lists the subsystem dimensions; their product must equal the
+    ``dims`` lists the subsystem dimensions, integers whose product is the
     matrix dimension (e.g. ``(2, 3)`` for a qubit-qutrit pair, ``(2s+1,)``
     for a single spin-s qudit).  ``matrix`` may carry leading axes, a stack
     of states such as one per grid point: every state is checked, by one
     batched eigensolve.  ``spectrum`` keeps its eigenvalues, ascending.
-    ``_similar`` (private, for ``compute_series``) is a stack unitarily similar
-    to ``matrix``, checked and solved in its place.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    _similar: InitVar[np.ndarray | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self, _similar):
-        m = _as_complex(self.matrix)
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
+        if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in self.dims):
+            raise ValueError(f"dims {self.dims!r} must be positive integers")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if any(d < 1 for d in self.dims):
-            raise ValueError("subsystem dims must be positive")
         if int(np.prod(self.dims)) != m.shape[-1]:
             raise ValueError(
                 f"dims {self.dims} inconsistent with matrix dim {m.shape[-1]}")
-        object.__setattr__(self, "spectrum", checked_solve(
-            m if _similar is None else _similar, np.linalg.eigvalsh))
+        object.__setattr__(self, "spectrum", checked_solve(m, np.linalg.eigvalsh))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix (or of each of a stack), descending.
-
-    The matrix is explicitly symmetrized as (m + m^dagger)/2 before the
-    solve, which suppresses roundoff drift without changing the spectrum
-    within the Hermiticity tolerance.
-    """
-    _, h, checks = _hermitian_checks(_as_complex(m))
-    raise_first(checks)
-    return np.linalg.eigvalsh(h)[..., ::-1]
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:

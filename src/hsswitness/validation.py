@@ -3,6 +3,8 @@
 Every oracle here reaches its value by a route independent of the code it
 checks:
 
+* dense route -- ``evolve`` checks each evolved state as a ``DensityMatrix``,
+  the reference of ``witnesses.compute_series``, which reads it as (rho0, F);
 * golden tables -- the evolved qubit-qutrit and mixed states written out
   literally, element by element, in the computational basis {|00>, |01>,
   |02>, |10>, |11>, |12>}.  ``evolve`` must reproduce them exactly, never
@@ -34,14 +36,24 @@ import numpy as np
 from .decoherence import (OhmicSpectralDensity, SqueezedBathParams,
                           ThermalBathParams, gamma_squeezed, gamma_thermal,
                           rtn_dn)
-from .dynamics import (QUBIT_QUTRIT, Scenario, bath_gamma, evolve,
-                       factor_matrix, initial_mixed, initial_pure, scenario)
+from .dynamics import (QUBIT_QUTRIT, Scenario, bath_gamma, factor_matrix,
+                       initial_mixed, initial_pure, scenario)
 from .errors import HsswitnessError, InvalidParams, UnsupportedScenario
+from .hilbert import DensityMatrix
 from .witnesses import (DEGENERACY_GAP, hss, mid, mid_closed, negativity,
                         negativity_closed)
 
 #: phase step of the central-difference HSS oracle
 FD_STEP = 1e-4
+
+
+def evolve(scenario: Scenario, rho: DensityMatrix, tau) -> DensityMatrix:
+    """Entrywise dephasing of a state of the scenario's layout at time(s) tau
+    (an array of tau gives the stack of evolved states, checked as one)."""
+    if rho.dims != scenario.layout.dims:
+        raise UnsupportedScenario(
+            f"state dims {rho.dims} do not match the layout {scenario.layout.dims}")
+    return DensityMatrix(rho.matrix * factor_matrix(scenario, tau), rho.dims)
 
 
 def _hermitize(upper: dict, diag: np.ndarray) -> np.ndarray:

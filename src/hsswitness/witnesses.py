@@ -8,7 +8,7 @@ revivals with those of negativity/MID.  Every witness takes a single state
 or a stack, with no Python loop over states: MID reads a diagonal marginal
 off its diagonal, else solves it by one ``eigh`` and tie-breaks degenerate
 ones as one stack.  ``compute_series`` evaluates the grid in blocks of
-stacked states, the pure one checked through its real F / d;
+states rho0 o F, each family checked by one solve (the pure one as F / d);
 ``extrema_report`` loops in Python once per plateau, not per grid point.
 The closed forms are the oracles of the mixed family.
 """
@@ -16,14 +16,15 @@ The closed forms are the oracles of the mixed family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import Scenario, factor_matrix, initial_mixed, initial_pure
 from .errors import InvalidParams, UnsupportedScenario
 from .hilbert import (DensityMatrix, checked_solve, entropy_bits,
-                      hermitian_eigenvalues, partial_transpose, raise_first,
-                      reduced_matrix, spectrum_checks)
+                      partial_transpose, raise_first, reduced_matrix,
+                      spectrum_checks)
 
 EPS_CHI = 1e-8
 EPS_NEGATIVITY = 1e-6
@@ -42,7 +43,11 @@ def hss(rho: DensityMatrix) -> float | np.ndarray:
     The phase winds entry (0, j) by +1 and (j, 0) by -1, so the trace is
     2 sum_{j>=1} |rho_0j|^2: the HSS is read off the first row, with no
     eigensolve.  An array for a stack of states."""
-    row = rho.matrix[..., 0, 1:]
+    return _row_speed(rho.matrix[..., 0, 1:])
+
+
+def _row_speed(row: np.ndarray) -> float | np.ndarray:
+    """sqrt(sum_j |row_j|^2) over the last axis: the HSS of first rows (j >= 1)."""
     return np.sqrt((row.real**2 + row.imag**2).sum(-1))
 
 
@@ -58,9 +63,11 @@ def chi_series(hss_values, tau_grid) -> np.ndarray:
 # --- negativity ---------------------------------------------------------------
 
 def negativity(rho: DensityMatrix) -> float | np.ndarray:
-    """Sum of |negative eigenvalues| of the partial transpose w.r.t. A."""
-    ev = hermitian_eigenvalues(partial_transpose(rho, 0))
-    return -np.where(ev < 0.0, ev, 0.0).sum(-1)
+    """Sum of |negative eigenvalues| of the partial transpose w.r.t. A, solved
+    unchecked: a transpose permutes entries, so it is as finite and Hermitian as rho."""
+    pt = partial_transpose(rho, 0)
+    ev = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)[..., ::-1]
+    return -np.where(ev < 0.0, ev, 0.0).sum(-1)  # summed from the largest
 
 
 def negativity_closed(p: float, F: float, topology: str = "independent") -> float:
@@ -206,6 +213,16 @@ def _intervals_where(mask: np.ndarray, grid: np.ndarray,
                  for a, b in zip(edges[::2], edges[1::2]) if b - a >= min_len)
 
 
+class _Dephased(NamedTuple):
+    """A block's states rho0 o F, read as a DensityMatrix: with F real symmetric and
+    F_ii = 1 they keep rho0's trace and Hermiticity, so the one checked solve that
+    gives ``spectrum`` only has finiteness and positivity left to find."""
+
+    dims: tuple
+    matrix: np.ndarray
+    spectrum: np.ndarray
+
+
 def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
                    mixed_p: float | None = None) -> WitnessSeries:
     """Evaluate HSS/chi (pure phase-encoded state) and negativity/MID.
@@ -218,7 +235,8 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
 
     The grid (1-D, finite, strictly increasing, >= 2 points) runs in blocks of
     BLOCK_ENTRIES entries, each evaluating F once for both families and checking
-    each as one stack (the pure one as F / d): no series depends on the block size."""
+    each as one stack (the pure one as F / d), with HSS from the first rows of
+    pure0 and F: no series depends on the block size."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     if (tau_grid.ndim != 1 or tau_grid.size < 2 or not np.isfinite(tau_grid).all()
             or (np.diff(tau_grid) <= 0).any()):
@@ -227,7 +245,7 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
     if mixed_p is not None and scenario.layout.dims != (2, 3):
         raise UnsupportedScenario("mixed_p needs the qubit-qutrit layout")
     pure0 = initial_pure(scenario.layout, phi)
-    corr0 = initial_mixed(mixed_p) if mixed_p is not None else None
+    corr0 = pure0 if mixed_p is None else initial_mixed(mixed_p)
 
     hss_vals, neg_vals, mid_vals = np.zeros((3, tau_grid.size))
     step = max(1, BLOCK_ENTRIES // pure0.dim**2)
@@ -235,11 +253,13 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
         block = slice(start, start + step)
         F = factor_matrix(scenario, tau_grid[block])
         # |psi_i|^2 = 1/d, so pure0 * F = D (F / d) D^dagger with D unitary diagonal
-        pure = DensityMatrix(pure0.matrix * F, pure0.dims, _similar=F / pure0.dim)
-        hss_vals[block] = hss(pure)
+        spectrum = checked_solve(F / pure0.dim, np.linalg.eigvalsh)
+        hss_vals[block] = _row_speed(pure0.matrix[0, 1:] * F[..., 0, 1:])
         if len(pure0.dims) == 1:
             continue
-        state = pure if corr0 is None else DensityMatrix(corr0.matrix * F, corr0.dims)
+        m = corr0.matrix * F
+        state = _Dephased(corr0.dims, m, spectrum if corr0 is pure0
+                          else checked_solve(m, np.linalg.eigvalsh))
         neg_vals[block] = negativity(state)
         mid_vals[block] = np.maximum(mid(state), 0.0)
     chi_vals = chi_series(hss_vals, tau_grid)

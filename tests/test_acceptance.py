@@ -12,10 +12,11 @@ import numpy as np
 from hsswitness.decoherence import (OhmicSpectralDensity, SqueezedBathParams,
                                     ThermalBathParams, gamma_squeezed,
                                     gamma_thermal, rtn_dn)
-from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, evolve,
-                                 initial_mixed, initial_pure, scenario)
+from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, initial_mixed,
+                                 initial_pure, scenario)
 from hsswitness.validation import (check_golden_matrices, check_montecarlo,
-                                   chi_qudit_closed, hss_finite_difference,
+                                   chi_qudit_closed, evolve,
+                                   hss_finite_difference,
                                    mixed_coherence_factor)
 from hsswitness.witnesses import (compute_series, extrema_report, hss, mid,
                                   mid_closed, negativity, negativity_closed)

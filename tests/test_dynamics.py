@@ -7,13 +7,11 @@ import pytest
 from hsswitness import dynamics
 from hsswitness.decoherence import RtnParams, gamma_squeezed, rtn_dn
 from hsswitness.dynamics import (QUBIT_QUTRIT, Environment, Scenario,
-                                 SpinLayout, bath_gamma, evolve,
-                                 factor_matrix, initial_mixed, initial_pure,
-                                 scenario)
+                                 SpinLayout, bath_gamma, factor_matrix,
+                                 initial_mixed, initial_pure, scenario)
 from hsswitness.errors import InvalidP, InvalidParams, UnsupportedScenario
-from hsswitness.hilbert import hermitian_eigenvalues
 from hsswitness.witnesses import BLOCK_ENTRIES, compute_series
-from hsswitness.validation import (golden_mixed, golden_mixed_common,
+from hsswitness.validation import (evolve, golden_mixed, golden_mixed_common,
                                    golden_pure_composite,
                                    golden_pure_rtn_common,
                                    golden_pure_rtn_independent,
@@ -68,18 +66,16 @@ class TestInitialStates:
         assert np.allclose(ratio, np.exp(0.3j * first_ket_mask(6)), atol=1e-12)
 
     def test_mixed_p0_is_pure_bell_like(self):
-        rho = initial_mixed(0.0)
-        ev = hermitian_eigenvalues(rho.matrix)
-        assert abs(ev[0] - 1.0) < 1e-12
+        assert abs(initial_mixed(0.0).spectrum[-1] - 1.0) < 1e-12
 
     def test_mixed_p_third_separable_at_t0(self):
         from hsswitness.witnesses import negativity
         assert negativity(initial_mixed(1 / 3)) < 1e-12
 
     def test_mixed_p04_spectrum(self):
-        ev = hermitian_eigenvalues(initial_mixed(0.4).matrix)
+        ev = initial_mixed(0.4).spectrum
         assert abs(ev.sum() - 1.0) < 1e-12
-        assert ev[-1] >= -1e-12
+        assert ev[0] >= -1e-12
         # spectrum is {0.4, 0.2 x3, 0 x2}: p on the |00>+|12> line, p/2 on
         # each of |01>, |11>, 1-2p on the |02>+|10> line
         assert np.sum(np.abs(ev - 0.2) < 1e-12) == 3
@@ -255,7 +251,7 @@ class TestEvolutionProperties:
             for tau in np.linspace(0, 3, 12):
                 rho = evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), tau)
                 # DensityMatrix construction enforces min eigenvalue >= -1e-9
-                assert hermitian_eigenvalues(rho.matrix)[-1] >= -1e-9
+                assert rho.spectrum[0] >= -1e-9
 
     def test_phi_covariance(self, all_qubit_qutrit_scenarios):
         # evolving then shifting phi equals shifting then evolving

@@ -44,6 +44,11 @@ def run_presets(out_dir):
     return lines.getvalue()
 
 
+def svg_hashes(out_dir):
+    return {f"{name}.svg": hashlib.sha256((Path(out_dir) / f"{name}.svg").read_bytes())
+            .hexdigest() for name in FIGURES}
+
+
 def read_csv(path):
     text = Path(path).read_text()
     header, *rows = text.splitlines()
@@ -61,7 +66,7 @@ def moved_cells(want_path, got_path, tol=0.0):
     bound = tol * np.abs(a).max(0)
     out = []
     for i, j in zip(*np.nonzero(np.array(want) != np.array(got))):
-        if not abs(a[i, j] - b[i, j]) <= bound[j]:
+        if tol == 0 or not abs(a[i, j] - b[i, j]) <= bound[j]:
             out.append(f"row {i + 1} {header[j]}: {want[i][j]} -> {got[i][j]}")
     return out
 
@@ -83,12 +88,13 @@ def test_csv_within_column_tolerance(preset_run, name):
     assert not moved, "\n".join(moved[:20])
 
 
+def golden_svg_hashes():
+    return dict(line.split()[::-1]
+                for line in (GOLDENS / "svg.sha256").read_text().splitlines())
+
+
 def test_svg_hashes(preset_run):
-    want = dict(line.split()[::-1] for line in
-                (GOLDENS / "svg.sha256").read_text().splitlines())
-    got = {f"{name}.svg": hashlib.sha256(
-        (preset_run[0] / f"{name}.svg").read_bytes()).hexdigest() for name in FIGURES}
-    assert got == want
+    assert svg_hashes(preset_run[0]) == golden_svg_hashes()
 
 
 if __name__ == "__main__":
@@ -96,14 +102,18 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         runs = run_presets(tmp)
         for name in FIGURES:
-            for cell in moved_cells(GOLDENS / f"{name}.csv", Path(tmp) / f"{name}.csv"):
+            got = Path(tmp) / f"{name}.csv"
+            for cell in moved_cells(GOLDENS / f"{name}.csv", got):
                 print(f"{name}.csv {cell}")
             if write:
-                (GOLDENS / f"{name}.csv").write_bytes((Path(tmp) / f"{name}.csv").read_bytes())
+                (GOLDENS / f"{name}.csv").write_text(got.read_text())
         if runs != (GOLDENS / "runs.txt").read_text():
             print("runs.txt moved:\n" + runs)
+        hashes = svg_hashes(tmp)
+        for svg, h in hashes.items():
+            if golden_svg_hashes()[svg] != h:
+                print(f"{svg} moved")
         if write:
             (GOLDENS / "runs.txt").write_text(runs)
-            (GOLDENS / "svg.sha256").write_text("".join(
-                f"{hashlib.sha256((Path(tmp) / f'{name}.svg').read_bytes()).hexdigest()}"
-                f"  {name}.svg\n" for name in FIGURES))
+            (GOLDENS / "svg.sha256").write_text(
+                "".join(f"{h}  {svg}\n" for svg, h in hashes.items()))

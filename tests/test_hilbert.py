@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from hsswitness.errors import BadSubsystemIndex, NotDensityMatrix, NotHermitian
 from hsswitness.hilbert import (TOL_HERM, TOL_PSD, TOL_TRACE, DensityMatrix,
-                                checked_solve, entropy_bits,
-                                hermitian_eigenvalues, partial_transpose,
+                                checked_solve, entropy_bits, partial_transpose,
                                 raise_first, reduced_matrix, spectrum_checks)
+from hsswitness.witnesses import negativity
 
 
 def bell_like_00_12():
@@ -30,27 +30,31 @@ def random_dm(rng, dims):
 
 
 class TestHermitianEigenvalues:
+    """Spectra from the checked solve (ascending) and from negativity."""
+
     def test_diagonal(self):
-        assert np.allclose(hermitian_eigenvalues(np.diag([1.0, -1.0])), [1, -1])
+        ev = checked_solve(np.diag([0.75, 0.25]), np.linalg.eigvalsh)
+        assert np.allclose(ev, [0.25, 0.75])
 
     def test_maximally_mixed(self):
-        assert np.allclose(hermitian_eigenvalues(np.eye(2) / 2), [0.5, 0.5])
+        assert np.allclose(checked_solve(np.eye(2) / 2, np.linalg.eigvalsh), [0.5, 0.5])
 
     def test_bell_like_partial_transpose_spectrum(self):
         # brute-force 6x6 eigensolve: the PT of a Bell-like state has -1/2
         pt = partial_transpose(bell_like_00_12(), 0)
-        ev = hermitian_eigenvalues(pt)
-        assert np.min(np.abs(ev - (-0.5))) < 1e-12
+        with pytest.raises(NotDensityMatrix, match="^minimum eigenvalue -5.000e-01"):
+            checked_solve(pt, np.linalg.eigvalsh)
+        assert abs(negativity(bell_like_00_12()) - 0.5) < 1e-12
 
     def test_sum_equals_trace(self, random_density_matrices):
         for rho in random_density_matrices:
-            ev = hermitian_eigenvalues(rho.matrix)
+            ev = checked_solve(rho.matrix, np.linalg.eigvalsh)
             assert abs(ev.sum() - 1.0) < 1e-10
-            assert np.all(np.diff(ev) <= 1e-12)  # descending
+            assert np.all(np.diff(ev) >= -1e-12)  # ascending
 
     def test_not_hermitian_raises(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotHermitian, match="^Hermiticity defect 1.000e[+]00"):
+            checked_solve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.linalg.eigvalsh)
 
 
 class TestPartialTranspose:
@@ -60,7 +64,7 @@ class TestPartialTranspose:
         rho = DensityMatrix(np.kron(a, b), (2, 3))
         pt = partial_transpose(rho, 0)
         assert np.allclose(pt, np.kron(a.T, b), atol=1e-12)
-        assert hermitian_eigenvalues(pt)[-1] > -1e-12
+        assert checked_solve(pt, np.linalg.eigvalsh)[0] > -1e-12
 
     def test_identity_fixed_point(self):
         rho = DensityMatrix(np.eye(6) / 6, (2, 3))
@@ -124,7 +128,7 @@ class TestPartialTrace:
 
 def trace_norm(m):
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return np.abs(hermitian_eigenvalues(m)).sum()
+    return np.abs(np.linalg.eigvalsh(m)).sum()
 
 
 class TestTraceNorm:
@@ -141,9 +145,7 @@ class TestTraceNorm:
     def test_consistency_with_negative_eigenvalue_sum(self, random_density_matrices):
         for rho in random_density_matrices:
             pt = partial_transpose(rho, 0)
-            ev = hermitian_eigenvalues(pt)
-            neg = -ev[ev < 0].sum()
-            assert abs(trace_norm(pt) - (1.0 + 2.0 * neg)) < 1e-10
+            assert abs(trace_norm(pt) - (1.0 + 2.0 * negativity(rho))) < 1e-10
 
 
 class TestEntropy:
@@ -169,6 +171,18 @@ class TestDensityMatrixInvariants:
         with pytest.raises(NotDensityMatrix):
             DensityMatrix(np.diag([1.5, -0.5]), (2,))
 
+    @pytest.mark.parametrize("dims", [(2.9, 3.9), (2, 2.5), (2.0, 3.0), ("2", 3),
+                                      (-2, -3), (6, 1, 0)],
+                             ids=["truncated", "half", "float", "string", "negative",
+                                  "zero"])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(ValueError, match=r"^dims .* must be positive integers$"):
+            DensityMatrix(np.eye(6) / 6, dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        rho = DensityMatrix(np.eye(6) / 6, (np.int64(2), np.uint8(3)))
+        assert rho.dims == (2, 3) and {type(d) for d in rho.dims} == {int}
+
 
 class TestStacks:
     """A leading axis of states: every operation acts state by state."""
@@ -184,7 +198,8 @@ class TestStacks:
                               - partial_trace(rho, sub).matrix).max() < 1e-15
             assert abs(entropy_bits(stack.spectrum)[k]
                        - entropy_bits(rho.spectrum)) < 1e-12
-        assert hermitian_eigenvalues(stack.matrix).shape == (12, 6)
+        assert stack.spectrum.shape == (12, 6)
+        assert negativity(stack).shape == (12,)
 
     def test_first_failing_state_raises(self):
         good, mixed = np.diag([0.5, 0.5]), np.diag([1.5, -0.5])
@@ -231,12 +246,6 @@ def reference_checked_solve(m, solver):
     ev = out[0] if isinstance(out, tuple) else out
     raise_first(checks + spectrum_checks(np.trace(m, axis1=-2, axis2=-1), ev[..., 0]))
     return out
-
-
-def reference_hermitian_eigenvalues(m):
-    m = np.asarray(m, dtype=complex)
-    raise_first(reference_hermitian_checks(m)[1])
-    return np.linalg.eigvalsh(reference_symmetrized(m))[..., ::-1]
 
 
 def outcome(f, *args):
@@ -297,8 +306,6 @@ class TestChecksAgainstCopyingForm:
             for solver in (np.linalg.eigvalsh, np.linalg.eigh):
                 assert (outcome(checked_solve, m, solver)
                         == outcome(reference_checked_solve, m, solver))
-            assert (outcome(hermitian_eigenvalues, m)
-                    == outcome(reference_hermitian_eigenvalues, m))
 
     def test_flaws_reach_every_check(self):
         # each flaw of the strategy raises what it should at twice its tolerance

@@ -13,26 +13,33 @@ DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 #: oracles and test-only helpers that live outside the package namespace
 NOT_EXPORTED = ("chi_qudit_closed", "hss_finite_difference", "trace_norm",
                 "hs_distance", "rtn_dn_montecarlo", "mixed_coherence_factor",
-                "tie_break_reference", "negativity_closed", "mid_closed")
-#: oracles moved out of the production modules into validation
+                "tie_break_reference", "negativity_closed", "mid_closed",
+                "evolve")
+#: oracles moved out of the production modules into validation, with evolve,
+#: the dense route that series are checked against
 MOVED = ("rtn_dn_montecarlo", "_mc_chunk", "_MC_CHUNK", "MC_MAX_Q_TAU",
-         "MC_MAX_TRIALS", "mixed_coherence_factor")
+         "MC_MAX_TRIALS", "mixed_coherence_factor", "evolve")
 #: names deleted from the library: the per-kind environment classes and the
 #: phase-family wrapper, replaced by Environment and DensityMatrix; the
 #: per-element factor and the single-matrix Hermiticity helpers, replaced by
 #: factor_matrix and the stacked checks of DensityMatrix; helpers that no
 #: production code called, replaced by reduced_matrix and entropy_bits; and
-#: the hand-copied scenario builders, replaced by dynamics.scenario
+#: the hand-copied scenario builders, replaced by dynamics.scenario; the
+#: checked eigenvalues of any Hermitian matrix, whose checks a partial
+#: transpose of a checked state cannot fail, with their helper, now inside
+#: checked_solve; and the similar stack a DensityMatrix could be checked
+#: through, replaced by the blocks of compute_series
 DELETED = ("ThermalOhmic", "SqueezedVacuum", "RtnIndependent", "RtnCommon",
            "CompositeRtnSqueezed", "PhiFamily", "element_factor",
            "herm_defect", "require_hermitian", "partial_trace",
            "von_neumann_entropy", "z_labels", "figure_bath",
            "scenario_squeezed", "scenario_rtn", "scenario_composite",
-           "qudit_scenario", "_telegraph")
+           "qudit_scenario", "_telegraph", "hermitian_eigenvalues",
+           "_hermitian_checks", "_similar")
 
 
 def test_all_names_resolve():
-    assert len(hsswitness.__all__) <= 24
+    assert len(hsswitness.__all__) <= 23
     assert len(set(hsswitness.__all__)) == len(hsswitness.__all__)
     for name in hsswitness.__all__:
         getattr(hsswitness, name)
@@ -56,7 +63,7 @@ def test_oracles_live_in_validation(name):
 def test_deleted_names_are_gone(name):
     from hsswitness import cli, dynamics, hilbert, validation
     for owner in (hsswitness, cli, dynamics, hilbert, validation,
-                  dynamics.SpinLayout):
+                  dynamics.SpinLayout, hilbert.DensityMatrix):
         assert not hasattr(owner, name)
 
 

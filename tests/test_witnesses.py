@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from hsswitness.cli import PRESETS, load_config
 from hsswitness.decoherence import rtn_dn
 from hsswitness.decoherence import OhmicSpectralDensity, ThermalBathParams
 from hsswitness.dynamics import (KINDS, QUBIT_QUTRIT, Environment, Scenario,
-                                 SpinLayout, bath_gamma, evolve, factor_matrix,
+                                 SpinLayout, bath_gamma, factor_matrix,
                                  initial_mixed, initial_pure, scenario)
 from hsswitness.errors import (InvalidParams, NotDensityMatrix, NotHermitian,
                                UnsupportedScenario)
-from hsswitness.hilbert import DensityMatrix, checked_solve, reduced_matrix
-from hsswitness.validation import (chi_qudit_closed, golden_pure_composite,
+from hsswitness.hilbert import (DensityMatrix, checked_solve, entropy_bits,
+                                reduced_matrix)
+from hsswitness.validation import (chi_qudit_closed, evolve,
+                                   golden_pure_composite,
                                    golden_pure_rtn_common,
                                    golden_pure_rtn_independent,
                                    golden_pure_squeezed, hss_finite_difference,
@@ -502,6 +505,92 @@ class TestPureStackThroughFactors:
         F = factor_matrix(scenario("rtn_common", q=3 + 9e-7), np.linspace(0, 30, 600))
         with pytest.raises(NotDensityMatrix, match=r"^minimum eigenvalue -1\.711e-09"):
             checked_solve(F / 6, np.linalg.eigvalsh)
+
+
+def dense_series(scen, grid, phi, p):
+    """HSS, negativity, MID and the entropy S(rho) that MID subtracts, from
+    ``validation.evolve`` and the witnesses of checked DensityMatrix stacks, in
+    compute_series' blocks: the dense route."""
+    pure0 = initial_pure(scen.layout, phi)
+    step = max(1, witnesses.BLOCK_ENTRIES // pure0.dim**2)
+    out = np.zeros((4, grid.size))
+    for start in range(0, grid.size, step):
+        block = slice(start, start + step)
+        pure = evolve(scen, pure0, grid[block])
+        out[0, block] = hss(pure)
+        if len(pure0.dims) == 2:
+            state = pure if p is None else evolve(scen, initial_mixed(p), grid[block])
+            out[1:, block] = (negativity(state), np.maximum(mid(state), 0),
+                              entropy_bits(state.spectrum))
+    return out
+
+
+@st.composite
+def series_cases(draw):
+    """A kind with a telegraph rate slow, fast or within 1e-6 of the seam q = n
+    (or a spin <= 5 qudit under a bath), a phase, a mixed-family p, a block
+    budget in qubit-qutrit states and a grid of up to 300 points."""
+    kind = draw(st.sampled_from(sorted(KINDS) + ["spin"]))
+    q = draw(st.one_of(st.floats(1e-3, 0.9), st.floats(5.0, 1e4),
+                       st.builds(lambda n, dq: n + dq, st.integers(1, 4),
+                                 st.floats(-9.99e-7, 9.99e-7))))
+    start, span = draw(st.floats(0.0, 30.0)), draw(st.floats(1e-3, 30.0))
+    case = {"phi": draw(st.floats(-2 * np.pi, 2 * np.pi)),
+            "p": draw(st.sampled_from([None, 0.0, 0.2, 1 / 3, 0.5])),
+            "states": draw(st.sampled_from([1, 128, 300])),
+            "grid": np.linspace(start, start + span, draw(st.integers(2, 300)))}
+    if kind == "spin":
+        bath = draw(st.sampled_from(["squeezed", "thermal"]))
+        spin = draw(st.integers(1, 10)) / 2
+        return dict(case, scen=scenario(bath, spin=spin), p=None)
+    params = {"q": q} if "q" in KINDS[kind][0] else {}
+    return dict(case, scen=scenario(kind, **params))
+
+
+SEAM_CASE = {"scen": scenario("rtn_common", q=3 + 9e-7), "phi": np.pi,
+             "grid": np.linspace(0.0, 30.0, 600)}
+
+
+class TestSeriesAgainstDenseRoute:
+    """compute_series reads each block as (rho0, F) and checks it by one solve per
+    family; the dense route multiplies the states out and checks each as a
+    DensityMatrix.  HSS and negativity agree bit for bit, or both raise the same
+    exception and message at the same first grid point.  MID = S(Pi(rho)) - S(rho)
+    agrees to 1e-14 but for S(rho): the pure family's spectrum comes from F / d,
+    equal to the dense one to 1e-14, and -x log2 x, steep near x = 0, takes that
+    rounding to about 1e-14 per eigenvalue (2.1e-14 in all, near tau = 0)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(series_cases())
+    @example(dict(SEAM_CASE, p=None, states=1))
+    @example(dict(SEAM_CASE, p=0.3, states=300))
+    def test_property(self, case):
+        scen, grid, phi, p = case["scen"], case["grid"], case["phi"], case["p"]
+        with mock.patch.object(witnesses, "BLOCK_ENTRIES", case["states"] * 36):
+            got = outcome(compute_series, scen, grid, phi, p)
+            want = outcome(dense_series, scen, grid, phi, p)
+            if isinstance(want, tuple):
+                assert got == want
+                if case["states"] == 1:  # one point per block: pin that point
+                    first = next(i for i in range(grid.size) if isinstance(
+                        outcome(dense_series, scen, grid[i:i + 1], phi, p), tuple))
+                    if first >= 1:
+                        assert outcome(compute_series, scen, grid[:first + 1],
+                                       phi, p) == want
+                    if first >= 2:
+                        assert not isinstance(outcome(compute_series, scen,
+                                                      grid[:first], phi, p), tuple)
+                return
+        assert isinstance(got, WitnessSeries), got
+        assert np.array_equal(got.hss, want[0])
+        assert np.array_equal(got.negativity, want[1])
+        entropy_moved = 0.0
+        if p is None and len(scen.layout.dims) == 2:
+            ev = checked_solve(factor_matrix(scen, grid) / 6, np.linalg.eigvalsh)
+            dense_ev = evolve(scen, initial_pure(scen.layout, phi), grid).spectrum
+            assert np.abs(ev - dense_ev).max() <= 1e-14
+            entropy_moved = np.abs(entropy_bits(ev) - want[3])
+        assert (np.abs(got.mid - want[2]) <= 1e-14 + entropy_moved).all()
 
 
 def eigh_eigenbases(rho, keep):

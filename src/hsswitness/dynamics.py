@@ -234,17 +234,38 @@ def factor_matrix(scenario: Scenario, tau) -> np.ndarray:
 
     exp(-Gamma W) * prod_rtn D_K with the integer tables W = sum_bath (c . Delta)^2
     and K = |c . Delta|; Gamma and D_1 ... D_max K are evaluated once on all of tau."""
+    return _certified_factors(scenario, tau, False)[0]
+
+
+def _certified_factors(scenario: Scenario, tau, certify=True):
+    """``factor_matrix``, and per state whether, if ``certify``, its factors certify
+    F PSD.  F is the Schur product of one factor per copy: a bath copy's Gaussian
+    kernel exp(-Gamma (c . Delta)^2), PSD if Gamma >= 0, and a telegraph copy's
+    principal submatrix (indices repeated) of T = [D_|j-k|], j, k <= max K, PSD if
+    T passes LDL^T with every pivot > 0, which also bounds each |D| by 1 (so F is
+    finite where Gamma is).  That pass is exact for T + E, |E| ~ (max K)^2 eps as
+    T_jj = 1, and F's entries add a few eps: a certified F / d has lambda_min >=
+    about -1e-14 and passes checked_solve(F / d, eigvalsh)."""
     env, layout = scenario.environment, scenario.layout
     t = np.asarray(tau, dtype=float)
     W, K = _coupling_tables(layout, env.bath_couplings, env.rtn_couplings)
     out = np.ones(t.shape + (layout.dim, layout.dim))
+    certified = np.full(t.shape, certify)
     if env.bath is not None:
-        out = np.exp(-np.multiply.outer(bath_gamma(scenario, t), W))
+        gamma = bath_gamma(scenario, t)
+        out = np.exp(-np.multiply.outer(gamma, W))
+        certified &= (gamma >= 0.0) & np.isfinite(gamma)
     if env.rtn is not None:
         D = np.stack([np.ones(t.shape)] + [
             rtn_dn(k, env.rtn.q, env.nu_ratio * t) for k in range(1, K.max() + 1)],
             axis=-1)
         for k in K:
             out = out * D[..., k]
-    return out
-
+    if env.rtn is not None and certify:
+        j = np.arange(D.shape[-1])
+        T = np.moveaxis(D, -1, 0)[abs(j[:, None] - j)]  # states last; LDL^T in place
+        with np.errstate(all="ignore"):  # a failed pivot may leave inf or nan
+            for i in j[:-1]:
+                T[i + 1:, i + 1:] -= T[i + 1:, i, None] * (T[i, i + 1:] / T[i, i])
+        certified &= (T[j, j] > 0.0).all(0)  # the pivots
+    return out, certified

@@ -1,11 +1,11 @@
-"""Dense complex Hermitian linear algebra for small open-system states.
+"""Dense Hermitian linear algebra for small open-system states.
 
-All states are plain ``numpy`` complex arrays wrapped in :class:`DensityMatrix`,
-which records how the Hilbert space factors into subsystems.  A matrix may
-carry leading axes (a stack of states, one per grid point): operations act state
-by state; ``checked_solve`` checks a stack by one batched eigensolve, whether a
-``DensityMatrix`` holds it or a series checks it in its own form.
-Operations are pure functions; nothing here mutates its inputs.
+All states are plain ``numpy`` arrays, real or complex, wrapped in
+:class:`DensityMatrix`, which records how the Hilbert space factors into
+subsystems.  A matrix may carry leading axes (a stack of states, one per grid
+point): operations act state by state; ``checked_solve`` checks a stack by one
+batched eigensolve, whether a ``DensityMatrix`` holds it or a series checks it
+in its own form.  Operations are pure functions; nothing here mutates its inputs.
 
 Convention: the von Neumann entropy uses the base-2 logarithm everywhere.
 The literature often writes a bare "log"; we fix bits so that the general
@@ -48,7 +48,8 @@ def raise_first(checks: list) -> None:
 def checked_solve(m: np.ndarray, solver):
     """``solver`` (``eigvalsh`` or ``eigh``) of (m + m^dagger) / 2 for a state or
     stack m, checked as a density matrix: one eigensolve per state.  Non-finite
-    states are zeroed first, in a copy made only if there are any."""
+    states are zeroed first, in a copy made only if any; a message shows a trace
+    as complex, a real state's too."""
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
         m = np.where(finite[..., None, None], m, 0.0)
@@ -59,7 +60,7 @@ def checked_solve(m: np.ndarray, solver):
     raise_first([(~finite, ValueError, "matrix has non-finite entries", defect),
                  (defect > TOL_HERM, NotHermitian,
                   "Hermiticity defect {:.3e} exceeds " f"{TOL_HERM:.1e}", defect)]
-                + spectrum_checks(np.trace(m, axis1=-2, axis2=-1), ev[..., 0]))
+                + spectrum_checks(np.trace(m, axis1=-2, axis2=-1) + 0j, ev[..., 0]))
     return out
 
 
@@ -72,6 +73,7 @@ class DensityMatrix:
     for a single spin-s qudit).  ``matrix`` may carry leading axes, a stack
     of states such as one per grid point: every state is checked, by one
     batched eigensolve.  ``spectrum`` keeps its eigenvalues, ascending.
+    ``matrix`` is held real (float64) where its imaginary part is exactly 0.
     """
 
     matrix: np.ndarray
@@ -79,7 +81,8 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        m = m.astype(complex) if m.imag.any() else np.ascontiguousarray(m.real, float)
         if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
@@ -119,7 +122,7 @@ def reduced_matrix(rho: DensityMatrix, keep: int) -> np.ndarray:
 
 
 def entropy_bits(ev: np.ndarray) -> np.ndarray:
-    """-sum(lam * log2 lam) over the last axis, 0*log0 := 0; roundoff
-    eigenvalues in (-TOL_PSD, 0) are clipped to 0."""
-    ev = np.clip(ev, 0.0, None)
+    """-sum(lam * log2 lam) over the last axis, 0*log0 := 0; eigenvalues below
+    d eps, a zero one's rounding (or roundoff in (-TOL_PSD, 0)), count as 0."""
+    ev = np.where(ev > ev.shape[-1] * np.finfo(float).eps, ev, 0.0)
     return -(ev * np.log2(ev, out=np.zeros_like(ev), where=ev > 0.0)).sum(-1)

@@ -8,9 +8,9 @@ revivals with those of negativity/MID.  Every witness takes a single state
 or a stack, with no Python loop over states: MID reads a diagonal marginal
 off its diagonal, else solves it by one ``eigh`` and tie-breaks degenerate
 ones as one stack.  ``compute_series`` evaluates the grid in blocks of
-states rho0 o F, each family checked by one solve (the pure one as F / d);
-``extrema_report`` loops in Python once per plateau, not per grid point.
-The closed forms are the oracles of the mixed family.
+states rho0 o F, each family checked once (the pure one by F's factors or
+a solve of F / d); ``extrema_report`` loops in Python once per plateau, not
+per grid point.  The closed forms are the oracles of the mixed family.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Scenario, factor_matrix, initial_mixed, initial_pure
+from .dynamics import Scenario, _certified_factors, initial_mixed, initial_pure
 from .errors import InvalidParams, UnsupportedScenario
 from .hilbert import (DensityMatrix, checked_solve, entropy_bits,
                       partial_transpose, raise_first, reduced_matrix,
@@ -111,7 +111,7 @@ def _tie_break(ev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     member = label.T == np.arange(d)[:, None, None]  # (lane, column, state)
     V = vec.transpose(1, 2, 0)  # (component, column, state)
     size, filled = member.sum(1), np.zeros((d, k), int)
-    basis = np.zeros((d, d, d, k), complex)  # (slot, component, lane, state)
+    basis = np.zeros((d, d, d, k), vec.dtype)  # (slot, component, lane, state)
     for m in range(d):  # v = P e_m, with P the eigenprojector of each lane
         v = sum(V[:, i, None] * (V[m, i].conj() * member[:, i]) for i in range(d))
         for u in basis[:m]:  # the slots in the order they fill
@@ -134,7 +134,7 @@ def _diagonal_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ev = np.take_along_axis(ev, at, -1)
     label = np.cumsum(np.diff(ev, prepend=ev[..., :1]) >= DEGENERACY_GAP, -1)
     order = np.sort(label * ev.shape[-1] + at, -1) % ev.shape[-1]
-    return ev, (np.arange(ev.shape[-1])[:, None] == order[..., None, :]).astype(complex)
+    return ev, (np.arange(ev.shape[-1])[:, None] == order[..., None, :]).astype(h.dtype)
 
 
 def _eigenbases(rho: DensityMatrix, keep: int) -> np.ndarray:
@@ -234,9 +234,10 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
     both are exactly 0.
 
     The grid (1-D, finite, strictly increasing, >= 2 points) runs in blocks of
-    BLOCK_ENTRIES entries, each evaluating F once for both families and checking
-    each as one stack (the pure one as F / d), with HSS from the first rows of
-    pure0 and F: no series depends on the block size."""
+    BLOCK_ENTRIES entries (>= 16 states for a single spin), each evaluating F once
+    for both families.  The pure one is checked as F / d, solved for a pure pair
+    (MID reads S(F / d)), else only where F's factors do not certify it; HSS is
+    read from the first rows of pure0 and F: no series depends on the block size."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     if (tau_grid.ndim != 1 or tau_grid.size < 2 or not np.isfinite(tau_grid).all()
             or (np.diff(tau_grid) <= 0).any()):
@@ -248,14 +249,17 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
     corr0 = pure0 if mixed_p is None else initial_mixed(mixed_p)
 
     hss_vals, neg_vals, mid_vals = np.zeros((3, tau_grid.size))
-    step = max(1, BLOCK_ENTRIES // pure0.dim**2)
+    pair = len(pure0.dims) == 2  # a single spin's block holds only the real F
+    certify = not pair or mixed_p is not None  # a pure pair's MID reads S(F / d)
+    step = max(1 if pair else 16, BLOCK_ENTRIES // pure0.dim**2)
     for start in range(0, tau_grid.size, step):
         block = slice(start, start + step)
-        F = factor_matrix(scenario, tau_grid[block])
+        F, certified = _certified_factors(scenario, tau_grid[block], certify)
         # |psi_i|^2 = 1/d, so pure0 * F = D (F / d) D^dagger with D unitary diagonal
-        spectrum = checked_solve(F / pure0.dim, np.linalg.eigvalsh)
+        if not certified.all():
+            spectrum = checked_solve(F[~certified] / pure0.dim, np.linalg.eigvalsh)
         hss_vals[block] = _row_speed(pure0.matrix[0, 1:] * F[..., 0, 1:])
-        if len(pure0.dims) == 1:
+        if not pair:
             continue
         m = corr0.matrix * F
         state = _Dephased(corr0.dims, m, spectrum if corr0 is pure0

@@ -161,6 +161,21 @@ class TestEntropy:
         expected = 2.0 - 0.75 * np.log2(3)
         assert abs(entropy_bits(rho.spectrum) - expected) < 1e-12
 
+    def test_rounding_eigenvalues_count_as_zero(self):
+        # below d eps an eigenvalue is a zero one's rounding: at full weight
+        # 1e-16 alone would add 5.3e-15 bits
+        assert entropy_bits(np.array([1e-16, 2e-16, 0.5, 0.5])) == 1.0
+        assert entropy_bits(np.array([-1e-16, 1.0])) == 0.0
+
+    def test_random_pure_states(self):
+        # their solved spectra hold rounding-level eigenvalues, which once
+        # gave S up to 2.2e-14
+        rng = np.random.default_rng(11)
+        v = rng.normal(size=(200, 6)) + 1j * rng.normal(size=(200, 6))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        rho = DensityMatrix(v[:, :, None] * v[:, None, :].conj(), (2, 3))
+        assert entropy_bits(rho.spectrum).max() < 5e-15
+
 
 class TestDensityMatrixInvariants:
     def test_rejects_bad_trace(self):
@@ -178,6 +193,15 @@ class TestDensityMatrixInvariants:
     def test_rejects_non_integer_dims(self, dims):
         with pytest.raises(ValueError, match=r"^dims .* must be positive integers$"):
             DensityMatrix(np.eye(6) / 6, dims)
+
+    @pytest.mark.parametrize("matrix,dtype", [
+        (np.eye(2) / 2, np.float64), (np.eye(2, dtype=complex) / 2, np.float64),
+        ([[0.5, 0], [0, 0.5]], np.float64),
+        ([[0.5, 0.1j], [-0.1j, 0.5]], np.complex128)])
+    def test_held_real_where_its_imaginary_part_is_zero(self, matrix, dtype):
+        rho = DensityMatrix(matrix, (2,))
+        assert rho.matrix.dtype == dtype and rho.matrix.flags.c_contiguous
+        assert np.array_equal(rho.matrix, matrix)
 
     def test_accepts_numpy_integer_dims(self):
         rho = DensityMatrix(np.eye(6) / 6, (np.int64(2), np.uint8(3)))

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hsswitness import witnesses
+from hsswitness import dynamics, witnesses
 from hsswitness.cli import PRESETS, load_config
 
 from hsswitness.decoherence import rtn_dn
 from hsswitness.decoherence import OhmicSpectralDensity, ThermalBathParams
 from hsswitness.dynamics import (KINDS, QUBIT_QUTRIT, Environment, Scenario,
-                                 SpinLayout, bath_gamma, factor_matrix,
-                                 initial_mixed, initial_pure, scenario)
+                                 SpinLayout, _certified_factors, bath_gamma,
+                                 factor_matrix, initial_mixed, initial_pure,
+                                 scenario)
 from hsswitness.errors import (InvalidParams, NotDensityMatrix, NotHermitian,
                                UnsupportedScenario)
 from hsswitness.hilbert import (DensityMatrix, checked_solve, entropy_bits,
@@ -190,9 +191,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("mixed_p", [None, 0.3])
     def test_one_eigensolve_per_marginal(self, monkeypatch, mixed_p):
-        # one block: the pure stack is one real solve of F / d and the partial
-        # transposes one complex solve; the pure family's dense marginals take
-        # one eigh each, the mixed family's diagonal ones none
+        # one block.  Pure family at phi = pi: F / d is one real solve, as MID
+        # reads its spectrum, the partial transposes one complex solve and the
+        # dense marginals one eigh each.  Mixed family, real: F / d is solved
+        # only at the uncertified tau = 0, the mixed state's own check and the
+        # partial transposes are real solves, and the diagonal marginals need none
         solved = []
         for name in ("eigh", "eigvalsh"):
             solve = getattr(np.linalg, name)
@@ -201,12 +204,14 @@ class TestSeries:
                                 or solve(a))
         compute_series(scenario("rtn_independent", q=0.1), np.linspace(0, 30, 100),
                        mixed_p=mixed_p)
-        initial = [("eigvalsh", (6, 6), "c")] * (1 if mixed_p is None else 2)
-        block = [("eigvalsh", (100, 6, 6), "f"), ("eigvalsh", (100, 6, 6), "c")]
+        initial = [("eigvalsh", (6, 6), "c")]
         if mixed_p is None:
-            block += [("eigh", (100, 2, 2), "c"), ("eigh", (100, 3, 3), "c")]
-        else:  # the mixed state's own check
-            block += [("eigvalsh", (100, 6, 6), "c")]
+            block = [("eigvalsh", (100, 6, 6), "f"), ("eigvalsh", (100, 6, 6), "c"),
+                     ("eigh", (100, 2, 2), "c"), ("eigh", (100, 3, 3), "c")]
+        else:
+            initial += [("eigvalsh", (6, 6), "f")]
+            block = [("eigvalsh", (1, 6, 6), "f"), ("eigvalsh", (100, 6, 6), "f"),
+                     ("eigvalsh", (100, 6, 6), "f")]
         assert sorted(solved) == sorted(initial + block)
 
     @pytest.mark.parametrize("mixed_p", [None, 0.3])
@@ -217,7 +222,7 @@ class TestSeries:
              "inf", "minus-inf"])
     def test_bad_grid_rejected_before_the_first_block(self, monkeypatch, grid,
                                                      mixed_p):
-        monkeypatch.setattr(witnesses, "factor_matrix",
+        monkeypatch.setattr(witnesses, "_certified_factors",
                             lambda *args: pytest.fail("a block was evaluated"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -507,6 +512,91 @@ class TestPureStackThroughFactors:
             checked_solve(F / 6, np.linalg.eigvalsh)
 
 
+@st.composite
+def certificate_blocks(draw):
+    """A kind (or a squeezed or thermal qudit of spin <= 5), a telegraph rate
+    slow, fast or within 1e-6 of the seam q = n, and a block of tau that starts
+    at tau = 0 or later."""
+    kind = draw(st.sampled_from(sorted(KINDS) + ["spin"]))
+    q = draw(st.one_of(st.floats(1e-3, 0.9), st.floats(5.0, 1e4),
+                       st.builds(lambda n, dq: n + dq, st.integers(1, 4),
+                                 st.floats(-9.99e-7, 9.99e-7))))
+    start = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+    grid = np.linspace(start, start + draw(st.floats(1e-3, 30.0)),
+                       draw(st.integers(1, 64)))
+    if kind == "spin":
+        bath = draw(st.sampled_from(["squeezed", "thermal"]))
+        return scenario(bath, spin=draw(st.integers(1, 10)) / 2), grid
+    return scenario(kind, **({"q": q} if "q" in KINDS[kind][0] else {})), grid
+
+
+class TestCertificate:
+    """F is certified PSD from its own factors: Gamma >= 0 and the telegraph
+    Toeplitz matrix [D_|j-k|] factored with positive pivots.  checked_solve of
+    F / d stays the oracle: every certified state passes it, with its lowest
+    eigenvalue within 1e-14 of 0, and the F is factor_matrix's to the bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_blocks())
+    @example((scenario("rtn_common", q=3 + 9e-7), np.linspace(0.0, 30.0, 600)))
+    def test_property(self, case):
+        scen, grid = case
+        F, certified = _certified_factors(scen, grid)
+        assert certified.shape == grid.shape
+        assert np.array_equal(F, factor_matrix(scen, grid))
+        if certified.any():
+            ev = checked_solve(F[certified] / scen.layout.dim, np.linalg.eigvalsh)
+            assert ev[:, 0].min() >= -1e-14
+
+    def test_seam_failure_is_refused(self):
+        # the seam state that fails the check is left to it, with its message
+        F, certified = _certified_factors(scenario("rtn_common", q=3 + 9e-7),
+                                          np.linspace(0, 30, 600))
+        with pytest.raises(NotDensityMatrix, match=r"^minimum eigenvalue -1\.711e-09"):
+            checked_solve(F[~certified] / 6, np.linalg.eigvalsh)
+
+    @pytest.mark.parametrize("kind", ["rtn_independent", "rtn_common", "composite"])
+    def test_tau_zero_is_refused(self, kind):
+        # at tau = 0 every D_n is 1: T is the rank-one all-ones matrix
+        _, certified = _certified_factors(scenario(kind), np.linspace(0, 3, 50))
+        assert not certified[0] and certified[1:].all()
+
+    @pytest.mark.parametrize("gamma,exc", [(-1e-3, NotDensityMatrix),
+                                           (np.nan, ValueError), (np.inf, ValueError)])
+    def test_bad_gamma_is_refused(self, monkeypatch, gamma, exc):
+        # exp(+1e-3 (n - m)^2) is no PSD kernel, and a nan or infinite Gamma
+        # leaves nan in F (inf * 0 on the diagonal): a single spin's series
+        # solves those states, and their check raises as before
+        monkeypatch.setattr(dynamics, "bath_gamma",
+                            lambda scen, t: np.full(t.shape, gamma))
+        scen = scenario("thermal", spin=2)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            assert not _certified_factors(scen, np.linspace(0, 1, 8))[1].any()
+            with pytest.raises(exc):
+                compute_series(scen, np.linspace(0, 1, 8))
+
+    def test_scalar_tau(self):
+        F, certified = _certified_factors(scenario("composite"), 0.5)
+        assert F.shape == (6, 6) and certified.shape == () and certified
+
+    def test_spin_fifty_solves_no_state(self, monkeypatch):
+        # every state of a single spin is certified by Gamma >= 0, so the only
+        # 101 x 101 solve is initial_pure's check; HSS is
+        # sqrt(sum_k e^{-2 k^2 Gamma}) / d
+        solved = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve:
+                                solved.append((name, a.shape)) or solve(a))
+        scen, grid = scenario("squeezed", spin=50), np.linspace(0.0, 3.0, 600)
+        series = compute_series(scen, grid)
+        assert solved == [("eigvalsh", (101, 101))]
+        k2 = np.arange(1, 101) ** 2
+        want = np.sqrt(np.exp(-2 * np.multiply.outer(bath_gamma(scen, grid), k2))
+                       .sum(-1)) / 101
+        assert np.abs(series.hss - want).max() <= 1e-15
+
+
 def dense_series(scen, grid, phi, p):
     """HSS, negativity, MID and the entropy S(rho) that MID subtracts, from
     ``validation.evolve`` and the witnesses of checked DensityMatrix stacks, in
@@ -748,6 +838,19 @@ class TestTieBreak:
         got = witnesses._tie_break(np.tile(ev, (8, 1)), vec)
         want = np.array([tie_break_reference(ev, v) for v in vec])
         assert np.abs(got - want).max() < 1e-12
+
+    def test_real_stack_stays_real(self):
+        # a real marginal stack (the mixed family's, or the pure one's at
+        # phi = 0) is tie-broken in float64, with the complex stack's basis
+        rng = np.random.default_rng(5)
+        q = np.linalg.qr(rng.normal(size=(16, 3, 3)))[0]
+        m = q @ np.diag([0.3, 0.3, 0.4]) @ q.swapaxes(-1, -2)
+        got = self.degenerate_agree(m)
+        assert got.dtype == np.float64
+        ev, vec = np.linalg.eigh(m.astype(complex))
+        assert np.abs(got - witnesses._tie_break(ev, vec)).max() < 1e-12
+        diagonal = np.diag([0.3, 0.3, 0.4])[None]
+        assert witnesses._diagonal_eigh(diagonal)[1].dtype == np.float64
 
     def test_too_few_vectors_raise(self):
         # two copies of e_0 span one direction only: no zero column is left

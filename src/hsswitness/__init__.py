@@ -8,20 +8,20 @@ witness), the entanglement negativity, and the measurement-induced
 disturbance (MID).
 """
 
-from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
+from .decoherence import (OhmicSpectralDensity, SqueezedBathParams,
                           ThermalBathParams, gamma_squeezed, gamma_thermal,
                           rtn_dn)
-from .dynamics import (QUBIT_QUTRIT, Environment, Scenario, SpinLayout,
-                       initial_mixed, initial_pure, scenario)
+from .dynamics import (QUBIT_QUTRIT, Scenario, SpinLayout, initial_mixed,
+                       initial_pure, scenario)
 from .hilbert import DensityMatrix
 from .plotting import series_svg
 from .witnesses import (ExtremaReport, WitnessSeries, compute_series,
                         extrema_report, hss, mid, negativity)
 
 __all__ = [
-    "OhmicSpectralDensity", "RtnParams", "SqueezedBathParams",
-    "ThermalBathParams", "gamma_squeezed", "gamma_thermal", "rtn_dn",
-    "QUBIT_QUTRIT", "Environment", "Scenario", "SpinLayout",
+    "OhmicSpectralDensity", "SqueezedBathParams", "ThermalBathParams",
+    "gamma_squeezed", "gamma_thermal", "rtn_dn",
+    "QUBIT_QUTRIT", "Scenario", "SpinLayout",
     "initial_mixed", "initial_pure", "scenario",
     "DensityMatrix", "series_svg",
     "ExtremaReport", "WitnessSeries", "compute_series", "extrema_report",

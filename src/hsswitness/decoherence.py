@@ -88,21 +88,6 @@ class SqueezedBathParams:
             raise InvalidParams("squeezing phase must be finite")
 
 
-@dataclass(frozen=True)
-class RtnParams:
-    """Telegraph noise switching at rate q per unit of tau = nu * t.
-
-    q = gamma / nu, switching rate over coupling, separates fast (q >> 1,
-    memoryless) from slow (q << 1, memory-bearing) noise.
-    """
-
-    q: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.q < math.inf:
-            raise InvalidParams("switching rate must be finite and >= 0")
-
-
 def _log1m_i(u):
     """log(1 - iu) for real u >= 0: accurate for small u, finite for huge u."""
     v, w = np.minimum(u, 1.0), np.maximum(u, 1.0)

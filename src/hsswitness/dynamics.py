@@ -1,7 +1,7 @@
 """Scenarios, initial states and their damping factors under pure dephasing.
 
-A scenario pairs a spin layout (one spin-s qudit or a pair of spins) with an
-:class:`Environment`.  Every environment here is pure dephasing, so evolution
+A :class:`Scenario` is a spin layout (one spin-s qudit or a pair of spins) and
+its dephasing sources.  Every environment here is pure dephasing, so evolution
 multiplies each matrix element by a real damping factor.  Element (n, m),
 whose z labels differ by the integer vector Delta (one entry per spin), gets
 one formula:
@@ -16,11 +16,11 @@ telegraph noise via sigma_z = 2 S_z, hence its doubled winding, and the
 common source's (2, 1) leaves opposite windings (the {|02>, |10>} block)
 decoherence free.
 
-``factor_matrix`` evaluates it on a whole array of tau: integer tables of
-sum_bath (c . Delta)^2 and |c . Delta| index one Gamma and one D_1 ... D_max
-per time, with no Python loop over elements.  An evolved state is
-rho0 o F(tau); ``witnesses.compute_series`` reads it as that pair, and
-``validation.evolve`` multiplies it out as the dense reference.
+``factor_matrix`` evaluates it, with its certificate, on a whole array of
+tau: integer tables of sum_bath (c . Delta)^2 and |c . Delta| index one Gamma
+and one D_1 ... D_max per time, with no Python loop over elements.  An
+evolved state is rho0 o F(tau); ``witnesses.compute_series`` reads it as
+that pair, and ``validation.evolve`` multiplies it out as the dense reference.
 
 Dimensionless time conventions: tau = omega_0 * t for quantum baths,
 tau = nu * t for telegraph-only scenarios, nu the telegraph coupling, so
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decoherence import (OhmicSpectralDensity, RtnParams, SqueezedBathParams,
+from .decoherence import (OhmicSpectralDensity, SqueezedBathParams,
                           ThermalBathParams, gamma_squeezed, gamma_thermal,
                           rtn_dn)
 from .errors import InvalidP, InvalidParams, UnsupportedScenario
@@ -73,7 +73,7 @@ class SpinLayout:
 QUBIT_QUTRIT = SpinLayout((Fraction(1, 2), Fraction(1)))
 
 
-# --- environments -------------------------------------------------------------
+# --- scenarios ----------------------------------------------------------------
 
 def _integer_vector(c) -> tuple[int, ...]:
     try:
@@ -87,54 +87,51 @@ def _integer_vector(c) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Environment:
-    """What the dephasing formula reads: its sources and their couplings.
+class Scenario:
+    """A spin layout and what the dephasing formula reads: sources and couplings.
 
     ``bath`` (thermal or squeezed) acts once on each vector of
-    ``bath_couplings``, as independent copies; ``rtn`` likewise on each
-    vector of ``rtn_couplings``.  A coupling vector holds one integer per
-    spin.  ``nu_ratio`` is the telegraph clock: telegraph time per unit tau.
+    ``bath_couplings``, as independent copies; telegraph noise switching at
+    rate ``q`` per unit of telegraph time likewise on each vector of
+    ``rtn_couplings``.  q = gamma / nu, switching rate over coupling,
+    separates fast (q >> 1, memoryless) from slow (q << 1, memory-bearing)
+    noise.  A coupling vector holds one integer per spin.  ``nu_ratio`` is
+    the telegraph clock: telegraph time per unit tau.
     """
 
+    layout: SpinLayout
     bath: ThermalBathParams | SqueezedBathParams | None = None
     bath_couplings: tuple = ()
-    rtn: RtnParams | None = None
+    q: float | None = None
     rtn_couplings: tuple = ()
     nu_ratio: float = 1.0
 
     def __post_init__(self):
+        if self.q is not None and not 0 <= self.q < math.inf:
+            raise InvalidParams("switching rate must be finite and >= 0")
         bath_c = tuple(_integer_vector(c) for c in self.bath_couplings)
         rtn_c = tuple(_integer_vector(c) for c in self.rtn_couplings)
-        if (self.bath is None) != (not bath_c) or (self.rtn is None) != (not rtn_c):
+        if (self.bath is None) != (not bath_c) or (self.q is None) != (not rtn_c):
             raise InvalidParams("a source needs coupling vectors, and a "
                                 "coupling vector needs its source")
         if not (bath_c or rtn_c):
             raise InvalidParams("an environment needs at least one coupling")
         if not 0 < self.nu_ratio < math.inf:
             raise InvalidParams("nu_ratio must be finite and > 0")
+        n = len(self.layout.spins)
+        if n > 2:
+            raise UnsupportedScenario(f"a layout holds one or two spins, not {n}")
+        for c in bath_c + rtn_c:
+            if len(c) != n:
+                raise UnsupportedScenario(
+                    f"coupling {c} does not fit a layout of {n} spin(s)")
         object.__setattr__(self, "bath_couplings", bath_c)
         object.__setattr__(self, "rtn_couplings", rtn_c)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    layout: SpinLayout
-    environment: Environment
-
-    def __post_init__(self):
-        n = len(self.layout.spins)
-        if n > 2:
-            raise UnsupportedScenario(f"a layout holds one or two spins, not {n}")
-        env = self.environment
-        for c in env.bath_couplings + env.rtn_couplings:
-            if len(c) != n:
-                raise UnsupportedScenario(
-                    f"coupling {c} does not fit a layout of {n} spin(s)")
-
-
 def bath_gamma(scenario: Scenario, tau) -> float | np.ndarray:
     """Quantum-bath decoherence exponent of the scenario at scaled time(s) tau."""
-    bath = scenario.environment.bath
+    bath = scenario.bath
     if bath is None:
         raise UnsupportedScenario("scenario has no quantum bath")
     if isinstance(bath, ThermalBathParams):
@@ -181,10 +178,8 @@ def scenario(kind: str, number=None, /, **params) -> Scenario:
         J = OhmicSpectralDensity(kw["alpha"], kw["s_ohmic"], kw["omega_c"])
         bath = (ThermalBathParams(J, kw["temperature"]) if "temperature" in kw
                 else SqueezedBathParams(J, kw["r"], kw["theta"]))
-    return Scenario(layout, Environment(
-        bath=bath, bath_couplings=bath_c,
-        rtn=RtnParams(kw["q"]) if rtn_c else None, rtn_couplings=rtn_c,
-        nu_ratio=kw.get("nu_ratio", 1.0)))
+    return Scenario(layout, bath, bath_c, kw["q"] if rtn_c else None, rtn_c,
+                    kw.get("nu_ratio", 1.0))
 
 
 # --- initial states ---------------------------------------------------------
@@ -229,39 +224,33 @@ def _coupling_tables(layout: SpinLayout, bath_couplings: tuple, rtn_couplings: t
     return W, K
 
 
-def factor_matrix(scenario: Scenario, tau) -> np.ndarray:
-    """Entrywise damping factors at time(s) tau: (d, d), or tau's shape + (d, d).
+def factor_matrix(scenario: Scenario, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise damping factors F at time(s) tau, (d, d) or tau's shape + (d, d),
+    and per state whether F's own factors certify it PSD.
 
-    exp(-Gamma W) * prod_rtn D_K with the integer tables W = sum_bath (c . Delta)^2
-    and K = |c . Delta|; Gamma and D_1 ... D_max K are evaluated once on all of tau."""
-    return _certified_factors(scenario, tau, False)[0]
-
-
-def _certified_factors(scenario: Scenario, tau, certify=True):
-    """``factor_matrix``, and per state whether, if ``certify``, its factors certify
-    F PSD.  F is the Schur product of one factor per copy: a bath copy's Gaussian
-    kernel exp(-Gamma (c . Delta)^2), PSD if Gamma >= 0, and a telegraph copy's
-    principal submatrix (indices repeated) of T = [D_|j-k|], j, k <= max K, PSD if
-    T passes LDL^T with every pivot > 0, which also bounds each |D| by 1 (so F is
-    finite where Gamma is).  That pass is exact for T + E, |E| ~ (max K)^2 eps as
-    T_jj = 1, and F's entries add a few eps: a certified F / d has lambda_min >=
-    about -1e-14 and passes checked_solve(F / d, eigvalsh)."""
-    env, layout = scenario.environment, scenario.layout
+    F = exp(-Gamma W) * prod_rtn D_K with the integer tables W = sum_bath
+    (c . Delta)^2 and K = |c . Delta|; Gamma and D_1 ... D_max K are evaluated
+    once on all of tau.  F is the Schur product of one factor per copy: a bath
+    copy's Gaussian kernel exp(-Gamma (c . Delta)^2), PSD if Gamma >= 0, and a
+    telegraph copy's principal submatrix (indices repeated) of T = [D_|j-k|],
+    j, k <= max K, PSD if T passes LDL^T with every pivot > 0, which also bounds
+    each |D| by 1 (so F is finite where Gamma is).  That pass is exact for T + E,
+    |E| ~ (max K)^2 eps as T_jj = 1, and F's entries add a few eps: a certified
+    F / d has lambda_min >= about -1e-14 and passes checked_solve(F / d, eigvalsh)."""
+    layout = scenario.layout
     t = np.asarray(tau, dtype=float)
-    W, K = _coupling_tables(layout, env.bath_couplings, env.rtn_couplings)
+    W, K = _coupling_tables(layout, scenario.bath_couplings, scenario.rtn_couplings)
     out = np.ones(t.shape + (layout.dim, layout.dim))
-    certified = np.full(t.shape, certify)
-    if env.bath is not None:
+    certified = np.full(t.shape, True)
+    if scenario.bath is not None:
         gamma = bath_gamma(scenario, t)
         out = np.exp(-np.multiply.outer(gamma, W))
         certified &= (gamma >= 0.0) & np.isfinite(gamma)
-    if env.rtn is not None:
-        D = np.stack([np.ones(t.shape)] + [
-            rtn_dn(k, env.rtn.q, env.nu_ratio * t) for k in range(1, K.max() + 1)],
-            axis=-1)
+    if scenario.q is not None:
+        D = np.stack([np.ones(t.shape)] + [rtn_dn(k, scenario.q, scenario.nu_ratio * t)
+                                           for k in range(1, K.max() + 1)], axis=-1)
         for k in K:
             out = out * D[..., k]
-    if env.rtn is not None and certify:
         j = np.arange(D.shape[-1])
         T = np.moveaxis(D, -1, 0)[abs(j[:, None] - j)]  # states last; LDL^T in place
         with np.errstate(all="ignore"):  # a failed pivot may leave inf or nan

@@ -53,7 +53,7 @@ def evolve(scenario: Scenario, rho: DensityMatrix, tau) -> DensityMatrix:
     if rho.dims != scenario.layout.dims:
         raise UnsupportedScenario(
             f"state dims {rho.dims} do not match the layout {scenario.layout.dims}")
-    return DensityMatrix(rho.matrix * factor_matrix(scenario, tau), rho.dims)
+    return DensityMatrix(rho.matrix * factor_matrix(scenario, tau)[0], rho.dims)
 
 
 def _hermitize(upper: dict, diag: np.ndarray) -> np.ndarray:
@@ -388,7 +388,7 @@ def mixed_coherence_factor(scenario: Scenario, tau) -> float | np.ndarray:
     """
     if scenario.layout.dims != (2, 3):
         raise UnsupportedScenario("F is defined for the qubit-qutrit layout only")
-    F = factor_matrix(scenario, tau)[..., 0, 5]
+    F = factor_matrix(scenario, tau)[0][..., 0, 5]
     return float(F) if F.ndim == 0 else F
 
 
@@ -446,8 +446,8 @@ def check_golden_matrices(n_times: int = 20, seed: int = 7,
 
     ind, com = scenario("rtn_independent"), scenario("rtn_common")
     taus = rng.uniform(0.05, 30.0, n_times)
-    d = np.transpose([rtn_dn(n, ind.environment.rtn.q, taus) for n in (1, 2, 3, 4)])
-    dc = np.transpose([rtn_dn(n, com.environment.rtn.q, taus) for n in (1, 2, 3, 4)])
+    d = np.transpose([rtn_dn(n, ind.q, taus) for n in (1, 2, 3, 4)])
+    dc = np.transpose([rtn_dn(n, com.q, taus) for n in (1, 2, 3, 4)])
     results += [
         ("pure-rtn-independent", worst(ind, pure0, taus, [
             golden_pure_rtn_independent(d1, d2, phi) for d1, d2, _, _ in d])),
@@ -460,9 +460,8 @@ def check_golden_matrices(n_times: int = 20, seed: int = 7,
     ]
 
     comp = scenario("composite")
-    env = comp.environment
     taus = rng.uniform(0.05, 3.0, n_times)
-    pairs = list(zip(rtn_dn(2, env.rtn.q, env.nu_ratio * taus),
+    pairs = list(zip(rtn_dn(2, comp.q, comp.nu_ratio * taus),
                      bath_gamma(comp, taus)))
     results += [
         ("pure-composite", worst(comp, pure0, taus, [

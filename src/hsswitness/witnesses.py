@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Scenario, _certified_factors, initial_mixed, initial_pure
+from .dynamics import Scenario, factor_matrix, initial_mixed, initial_pure
 from .errors import InvalidParams, UnsupportedScenario
 from .hilbert import (DensityMatrix, checked_solve, entropy_bits,
                       partial_transpose, raise_first, reduced_matrix,
@@ -250,14 +250,15 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
 
     hss_vals, neg_vals, mid_vals = np.zeros((3, tau_grid.size))
     pair = len(pure0.dims) == 2  # a single spin's block holds only the real F
-    certify = not pair or mixed_p is not None  # a pure pair's MID reads S(F / d)
+    solve_all = pair and mixed_p is None  # a pure pair's MID reads S(F / d)
     step = max(1 if pair else 16, BLOCK_ENTRIES // pure0.dim**2)
     for start in range(0, tau_grid.size, step):
         block = slice(start, start + step)
-        F, certified = _certified_factors(scenario, tau_grid[block], certify)
+        F, certified = factor_matrix(scenario, tau_grid[block])
+        solve = ~certified | solve_all
         # |psi_i|^2 = 1/d, so pure0 * F = D (F / d) D^dagger with D unitary diagonal
-        if not certified.all():
-            spectrum = checked_solve(F[~certified] / pure0.dim, np.linalg.eigvalsh)
+        if solve.any():
+            spectrum = checked_solve(F[solve] / pure0.dim, np.linalg.eigvalsh)
         hss_vals[block] = _row_speed(pure0.matrix[0, 1:] * F[..., 0, 1:])
         if not pair:
             continue

@@ -76,10 +76,13 @@ class TestConfig:
          "alpha must be a finite number"),
         ({"kind": "squeezed", "alpha": -1, "spin": 1000.3}, "spin must be <= 50"),
         ({"kind": "squeezed", "alpha": -1, "spin": 1.3}, "spin 1.3 is not"),
-    ], ids=["kind", "keys", "numbers", "spin-bound", "spin-layout"])
+        ({"kind": "composite", "q": -1, "nu_ratio": 0}, "switching rate must be"),
+    ], ids=["kind", "keys", "numbers", "spin-bound", "spin-layout",
+            "q-before-nu_ratio"])
     def test_first_scenario_error_wins(self, block, message):
         # unknown kind, then unknown keys, then numbers in the order of the
-        # defaults, then the spin bound, then the layout and the parameters
+        # defaults, then the spin bound, then the layout and the parameters,
+        # q before nu_ratio
         with pytest.raises(ConfigInvalid, match=message):
             load_config("x", {"scenario": block})
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsswitness.decoherence import (RTN_SEAM, OhmicSpectralDensity, RtnParams,
+from hsswitness.decoherence import (RTN_SEAM, OhmicSpectralDensity,
                                     SqueezedBathParams, ThermalBathParams,
                                     gamma_squeezed, gamma_thermal, rtn_dn)
 from hsswitness.errors import InvalidParams
@@ -56,7 +56,6 @@ INF = math.inf
     lambda: SqueezedBathParams(SUPER, r=NAN),
     lambda: SqueezedBathParams(SUPER, theta=NAN),
     lambda: SqueezedBathParams(SUPER, theta=math.inf),
-    lambda: RtnParams(q=NAN),
     lambda: rtn_dn(1, NAN, 1.0),
     lambda: rtn_dn(1, 0.1, NAN),
     lambda: OhmicSpectralDensity(INF, 3.0, 20.0),
@@ -64,13 +63,12 @@ INF = math.inf
     lambda: OhmicSpectralDensity(0.1, 3.0, INF),
     lambda: ThermalBathParams(SUPER, temperature=INF),
     lambda: SqueezedBathParams(SUPER, r=INF),
-    lambda: RtnParams(q=INF),
     lambda: rtn_dn(1, INF, 1.0),
     lambda: rtn_dn(1, 0.1, INF),
 ], ids=["alpha", "s_ohmic", "omega_c", "temperature", "r", "theta-nan",
-        "theta-inf", "q", "rtn_dn-q", "rtn_dn-tau",
+        "theta-inf", "rtn_dn-q", "rtn_dn-tau",
         "alpha-inf", "s_ohmic-inf", "omega_c-inf", "temperature-inf", "r-inf",
-        "q-inf", "rtn_dn-q-inf", "rtn_dn-tau-inf"])
+        "rtn_dn-q-inf", "rtn_dn-tau-inf"])
 def test_nan_parameters_rejected(make):
     with pytest.raises(InvalidParams):
         make()

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from hsswitness import dynamics
-from hsswitness.decoherence import RtnParams, gamma_squeezed, rtn_dn
-from hsswitness.dynamics import (QUBIT_QUTRIT, Environment, Scenario,
-                                 SpinLayout, bath_gamma, factor_matrix,
-                                 initial_mixed, initial_pure, scenario)
+from hsswitness.decoherence import gamma_squeezed, rtn_dn
+from hsswitness.dynamics import (QUBIT_QUTRIT, Scenario, SpinLayout,
+                                 bath_gamma, factor_matrix, initial_mixed,
+                                 initial_pure, scenario)
 from hsswitness.errors import InvalidP, InvalidParams, UnsupportedScenario
 from hsswitness.witnesses import BLOCK_ENTRIES, compute_series
 from hsswitness.validation import (evolve, golden_mixed, golden_mixed_common,
@@ -19,7 +19,7 @@ from hsswitness.validation import (evolve, golden_mixed, golden_mixed_common,
                                    mixed_coherence_factor)
 
 #: the squeezed bath at the figure parameters
-FIGURE_BATH = scenario("squeezed").environment.bath
+FIGURE_BATH = scenario("squeezed").bath
 
 
 def first_ket_mask(d):
@@ -116,18 +116,18 @@ class TestElementFactor:
 
     def test_diagonal_is_one(self, all_qubit_qutrit_scenarios):
         for scen in all_qubit_qutrit_scenarios.values():
-            assert np.diag(factor_matrix(scen, 1.3)) == pytest.approx(np.ones(6))
+            assert np.diag(factor_matrix(scen, 1.3)[0]) == pytest.approx(np.ones(6))
 
     def test_common_rtn_decoherence_free_pair(self):
         scen = scenario("rtn_common", q=0.1)
         # |02><10|: qubit winding +2, qutrit winding -2 cancel exactly
-        assert factor_matrix(scen, 5.0)[2, 3] == pytest.approx(1.0)
+        assert factor_matrix(scen, 5.0)[0][2, 3] == pytest.approx(1.0)
 
     def test_independent_rtn_mixed_element(self):
         scen = scenario("rtn_independent", q=0.1)
         tau = 2.5
         # |00><11|: qubit sees D_2, qutrit sees D_1
-        got = factor_matrix(scen, tau)[0, 4]
+        got = factor_matrix(scen, tau)[0][0, 4]
         assert abs(got - rtn_dn(2, 0.1, tau) * rtn_dn(1, 0.1, tau)) < 1e-14
 
 
@@ -274,44 +274,46 @@ class TestEvolutionProperties:
     def test_unsupported_layout(self):
         # the independent-telegraph couplings name two spins
         with pytest.raises(UnsupportedScenario):
-            Scenario(SpinLayout((1.5,)), Environment(
-                rtn=RtnParams(0.1), rtn_couplings=((2, 0), (0, 1))))
+            Scenario(SpinLayout((1.5,)), q=0.1, rtn_couplings=((2, 0), (0, 1)))
 
 
 class TestEnvironmentChecks:
-    TELEGRAPH = RtnParams(0.1)
+    """The checks of a Scenario's sources, couplings and telegraph clock."""
+
+    TELEGRAPH = 0.1
 
     @pytest.mark.parametrize("kwargs", [
         {},
         {"bath_couplings": ((1, 0),)},
-        {"rtn": TELEGRAPH},
-        {"rtn": TELEGRAPH, "rtn_couplings": ((1.5, 0),)},
-        {"rtn": TELEGRAPH, "rtn_couplings": ((float("nan"), 0),)},
-        {"rtn": TELEGRAPH, "rtn_couplings": ("ab",)},
-        {"rtn": TELEGRAPH, "rtn_couplings": ((2, 1),), "nu_ratio": 0.0},
-        {"rtn": TELEGRAPH, "rtn_couplings": ((2, 1),), "nu_ratio": float("inf")},
-        {"rtn": TELEGRAPH, "rtn_couplings": ((2, 1),), "nu_ratio": float("nan")},
+        {"q": TELEGRAPH},
+        {"q": TELEGRAPH, "rtn_couplings": ((1.5, 0),)},
+        {"q": TELEGRAPH, "rtn_couplings": ((float("nan"), 0),)},
+        {"q": TELEGRAPH, "rtn_couplings": ("ab",)},
+        {"q": TELEGRAPH, "rtn_couplings": ((2, 1),), "nu_ratio": 0.0},
+        {"q": TELEGRAPH, "rtn_couplings": ((2, 1),), "nu_ratio": float("inf")},
+        {"q": TELEGRAPH, "rtn_couplings": ((2, 1),), "nu_ratio": float("nan")},
+        {"q": float("nan"), "rtn_couplings": ((2, 1),)},
+        {"q": float("inf"), "rtn_couplings": ((2, 1),)},
+        {"q": -1.0, "rtn_couplings": ((2, 1),)},
     ], ids=["no-coupling", "bath-couplings-without-bath", "rtn-without-couplings",
             "fractional", "nan", "string", "nu_ratio-zero", "nu_ratio-inf",
-            "nu_ratio-nan"])
+            "nu_ratio-nan", "q-nan", "q-inf", "q-negative"])
     def test_rejected(self, kwargs):
         with pytest.raises(InvalidParams):
-            Environment(**kwargs)
+            Scenario(QUBIT_QUTRIT, **kwargs)
 
     def test_integer_valued_floats_accepted(self):
-        env = Environment(rtn=self.TELEGRAPH, rtn_couplings=((2.0, 1.0),))
-        assert env.rtn_couplings == ((2, 1),)
+        scen = Scenario(QUBIT_QUTRIT, q=self.TELEGRAPH, rtn_couplings=((2.0, 1.0),))
+        assert scen.rtn_couplings == ((2, 1),)
 
     def test_coupling_length_must_match_layout(self):
-        env = Environment(bath=FIGURE_BATH, bath_couplings=((1,),))
         with pytest.raises(UnsupportedScenario):
-            Scenario(QUBIT_QUTRIT, env)
+            Scenario(QUBIT_QUTRIT, FIGURE_BATH, ((1,),))
 
     def test_three_spins_rejected(self):
-        env = Environment(bath=FIGURE_BATH,
-                          bath_couplings=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(UnsupportedScenario):
-            Scenario(SpinLayout((0.5, 0.5, 0.5)), env)
+            Scenario(SpinLayout((0.5, 0.5, 0.5)), FIGURE_BATH,
+                     ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_evolve_needs_the_layout_dims(self):
         # a spin-5/2 has the mixed state's 6 levels but not its two subsystems
@@ -335,7 +337,7 @@ def oracle_factors(scen, tau, bath_gaps, rtn_gaps, nu_ratio=1.0):
     out = np.ones((d, d))
     if bath_gaps:
         out *= np.exp(-bath_gamma(scen, tau) * sum(g**2 for g in bath_gaps))
-    q = scen.environment.rtn.q if rtn_gaps else None
+    q = scen.q if rtn_gaps else None
     for gaps in rtn_gaps:
         for i in range(d):
             for j in range(d):
@@ -370,29 +372,26 @@ class TestCouplingOracle:
         nu_ratio = 100.0 if kind == "composite" else 1.0
         for tau in self.TAUS:
             want = oracle_factors(scen, tau, bath_gaps, rtn_gaps, nu_ratio)
-            assert np.abs(factor_matrix(scen, tau) - want).max() < 1e-14
+            assert np.abs(factor_matrix(scen, tau)[0] - want).max() < 1e-14
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5])
     def test_qudits(self, s):
         gaps = label_gaps((spin_z(s),))
-        bath = Scenario(SpinLayout((s,)), Environment(
-            bath=FIGURE_BATH, bath_couplings=((1,),)))
-        telegraph = Scenario(SpinLayout((s,)), Environment(
-            rtn=RtnParams(0.37), rtn_couplings=((1,),)))
+        bath = Scenario(SpinLayout((s,)), FIGURE_BATH, ((1,),))
+        telegraph = Scenario(SpinLayout((s,)), q=0.37, rtn_couplings=((1,),))
         for tau in self.TAUS:
-            assert np.abs(factor_matrix(bath, tau)
+            assert np.abs(factor_matrix(bath, tau)[0]
                           - oracle_factors(bath, tau, [gaps], [])).max() < 1e-14
-            assert np.abs(factor_matrix(telegraph, tau)
+            assert np.abs(factor_matrix(telegraph, tau)[0]
                           - oracle_factors(telegraph, tau, [], [gaps])).max() < 1e-14
 
     @pytest.mark.parametrize("s", [0.5, 1.0], ids=["qubit-qubit", "qutrit-qutrit"])
     def test_equal_spin_pairs(self, s):
-        scen = Scenario(SpinLayout((s, s)), Environment(
-            bath=FIGURE_BATH, bath_couplings=((1, 0), (0, 1))))
+        scen = Scenario(SpinLayout((s, s)), FIGURE_BATH, ((1, 0), (0, 1)))
         sz, eye = spin_z(s), np.eye(int(2 * s) + 1)
         gaps = [label_gaps((sz, eye)), label_gaps((eye, sz))]
         for tau in self.TAUS:
-            assert np.abs(factor_matrix(scen, tau)
+            assert np.abs(factor_matrix(scen, tau)[0]
                           - oracle_factors(scen, tau, gaps, [])).max() < 1e-14
 
 
@@ -405,15 +404,15 @@ def windings_reference(layout, couplings):
 
 def factor_matrix_reference(scen, t):
     """The damping factors with the coupling tables rebuilt on every call."""
-    env, layout = scen.environment, scen.layout
+    layout = scen.layout
     out = np.ones(t.shape + (layout.dim, layout.dim))
-    if env.bath is not None:
-        W = (windings_reference(layout, env.bath_couplings) ** 2).sum(0)
+    if scen.bath is not None:
+        W = (windings_reference(layout, scen.bath_couplings) ** 2).sum(0)
         out = np.exp(-np.multiply.outer(bath_gamma(scen, t), W))
-    if env.rtn is not None:
-        K = np.abs(windings_reference(layout, env.rtn_couplings))
+    if scen.q is not None:
+        K = np.abs(windings_reference(layout, scen.rtn_couplings))
         D = np.stack([np.ones(t.shape)] + [
-            rtn_dn(k, env.rtn.q, env.nu_ratio * t) for k in range(1, K.max() + 1)],
+            rtn_dn(k, scen.q, scen.nu_ratio * t) for k in range(1, K.max() + 1)],
             axis=-1)
         for k in K:
             out = out * D[..., k]
@@ -441,8 +440,7 @@ class TestCouplingTables:
         assert blocks > 1
         info = tables.cache_info()
         assert (info.misses, info.hits) == (1, blocks - 1)
-        env = scen.environment
-        for table in tables(scen.layout, env.bath_couplings, env.rtn_couplings):
+        for table in tables(scen.layout, scen.bath_couplings, scen.rtn_couplings):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[..., 0, 1] = 7
@@ -455,5 +453,5 @@ class TestCouplingTables:
         scen = make()
         for t in (np.linspace(0.0, 30.0, 257), np.array(1.3)):
             for _ in range(2):  # from a fresh and from a cached table
-                assert np.array_equal(factor_matrix(scen, t),
+                assert np.array_equal(factor_matrix(scen, t)[0],
                                       factor_matrix_reference(scen, t))

@@ -13,10 +13,9 @@ from hsswitness.cli import PRESETS, load_config
 
 from hsswitness.decoherence import rtn_dn
 from hsswitness.decoherence import OhmicSpectralDensity, ThermalBathParams
-from hsswitness.dynamics import (KINDS, QUBIT_QUTRIT, Environment, Scenario,
-                                 SpinLayout, _certified_factors, bath_gamma,
-                                 factor_matrix, initial_mixed, initial_pure,
-                                 scenario)
+from hsswitness.dynamics import (KINDS, QUBIT_QUTRIT, Scenario, SpinLayout,
+                                 bath_gamma, factor_matrix, initial_mixed,
+                                 initial_pure, scenario)
 from hsswitness.errors import (InvalidParams, NotDensityMatrix, NotHermitian,
                                UnsupportedScenario)
 from hsswitness.hilbert import (DensityMatrix, checked_solve, entropy_bits,
@@ -56,8 +55,7 @@ def preset_series(name):
 def spin_pair_common_bath():
     """Spin 2 (x) spin 3/2 under one thermal bath on the total S_z."""
     bath = ThermalBathParams(OhmicSpectralDensity(1.0, 1.0, 20.0), temperature=2.0)
-    return Scenario(SpinLayout((2, 1.5)), Environment(bath=bath,
-                                                      bath_couplings=((1, 1),)))
+    return Scenario(SpinLayout((2, 1.5)), bath, ((1, 1),))
 
 
 class TestHss:
@@ -222,7 +220,7 @@ class TestSeries:
              "inf", "minus-inf"])
     def test_bad_grid_rejected_before_the_first_block(self, monkeypatch, grid,
                                                      mixed_p):
-        monkeypatch.setattr(witnesses, "_certified_factors",
+        monkeypatch.setattr(witnesses, "factor_matrix",
                             lambda *args: pytest.fail("a block was evaluated"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -319,10 +317,9 @@ def explicit_partial_transpose(m):
 
 def golden_series(kind, scen, grid, phi):
     """Golden pure states on the grid, the mixed-state F and its topology."""
-    env = scen.environment
-    g = bath_gamma(scen, grid) if env.bath is not None else None
-    d = {n: rtn_dn(n, env.rtn.q, env.nu_ratio * grid) for n in (1, 2, 3, 4)
-         } if env.rtn is not None else None
+    g = bath_gamma(scen, grid) if scen.bath is not None else None
+    d = {n: rtn_dn(n, scen.q, scen.nu_ratio * grid) for n in (1, 2, 3, 4)
+         } if scen.q is not None else None
     if kind in ("squeezed", "thermal"):
         return ([golden_pure_squeezed(x, phi) for x in g], np.exp(-5 * g),
                 "independent")
@@ -498,7 +495,7 @@ class TestPureStackThroughFactors:
     def test_property(self, case):
         scen, phi, grid = case
         pure0 = initial_pure(scen.layout, phi)
-        F = factor_matrix(scen, grid)
+        F = factor_matrix(scen, grid)[0]
         got = outcome(checked_solve, F / pure0.dim, np.linalg.eigvalsh)
         want = outcome(lambda: DensityMatrix(pure0.matrix * F, pure0.dims).spectrum)
         if isinstance(want, tuple):
@@ -507,7 +504,8 @@ class TestPureStackThroughFactors:
             assert isinstance(got, np.ndarray) and np.abs(got - want).max() <= 1e-14
 
     def test_seam_failure(self):
-        F = factor_matrix(scenario("rtn_common", q=3 + 9e-7), np.linspace(0, 30, 600))
+        F, _ = factor_matrix(scenario("rtn_common", q=3 + 9e-7),
+                             np.linspace(0, 30, 600))
         with pytest.raises(NotDensityMatrix, match=r"^minimum eigenvalue -1\.711e-09"):
             checked_solve(F / 6, np.linalg.eigvalsh)
 
@@ -534,31 +532,30 @@ class TestCertificate:
     """F is certified PSD from its own factors: Gamma >= 0 and the telegraph
     Toeplitz matrix [D_|j-k|] factored with positive pivots.  checked_solve of
     F / d stays the oracle: every certified state passes it, with its lowest
-    eigenvalue within 1e-14 of 0, and the F is factor_matrix's to the bit."""
+    eigenvalue within 1e-14 of 0."""
 
     @settings(max_examples=300, deadline=None)
     @given(certificate_blocks())
     @example((scenario("rtn_common", q=3 + 9e-7), np.linspace(0.0, 30.0, 600)))
     def test_property(self, case):
         scen, grid = case
-        F, certified = _certified_factors(scen, grid)
+        F, certified = factor_matrix(scen, grid)
         assert certified.shape == grid.shape
-        assert np.array_equal(F, factor_matrix(scen, grid))
         if certified.any():
             ev = checked_solve(F[certified] / scen.layout.dim, np.linalg.eigvalsh)
             assert ev[:, 0].min() >= -1e-14
 
     def test_seam_failure_is_refused(self):
         # the seam state that fails the check is left to it, with its message
-        F, certified = _certified_factors(scenario("rtn_common", q=3 + 9e-7),
-                                          np.linspace(0, 30, 600))
+        F, certified = factor_matrix(scenario("rtn_common", q=3 + 9e-7),
+                                     np.linspace(0, 30, 600))
         with pytest.raises(NotDensityMatrix, match=r"^minimum eigenvalue -1\.711e-09"):
             checked_solve(F[~certified] / 6, np.linalg.eigvalsh)
 
     @pytest.mark.parametrize("kind", ["rtn_independent", "rtn_common", "composite"])
     def test_tau_zero_is_refused(self, kind):
         # at tau = 0 every D_n is 1: T is the rank-one all-ones matrix
-        _, certified = _certified_factors(scenario(kind), np.linspace(0, 3, 50))
+        _, certified = factor_matrix(scenario(kind), np.linspace(0, 3, 50))
         assert not certified[0] and certified[1:].all()
 
     @pytest.mark.parametrize("gamma,exc", [(-1e-3, NotDensityMatrix),
@@ -571,12 +568,12 @@ class TestCertificate:
                             lambda scen, t: np.full(t.shape, gamma))
         scen = scenario("thermal", spin=2)
         with np.errstate(invalid="ignore"):  # inf * 0
-            assert not _certified_factors(scen, np.linspace(0, 1, 8))[1].any()
+            assert not factor_matrix(scen, np.linspace(0, 1, 8))[1].any()
             with pytest.raises(exc):
                 compute_series(scen, np.linspace(0, 1, 8))
 
     def test_scalar_tau(self):
-        F, certified = _certified_factors(scenario("composite"), 0.5)
+        F, certified = factor_matrix(scenario("composite"), 0.5)
         assert F.shape == (6, 6) and certified.shape == () and certified
 
     def test_spin_fifty_solves_no_state(self, monkeypatch):
@@ -676,7 +673,7 @@ class TestSeriesAgainstDenseRoute:
         assert np.array_equal(got.negativity, want[1])
         entropy_moved = 0.0
         if p is None and len(scen.layout.dims) == 2:
-            ev = checked_solve(factor_matrix(scen, grid) / 6, np.linalg.eigvalsh)
+            ev = checked_solve(factor_matrix(scen, grid)[0] / 6, np.linalg.eigvalsh)
             dense_ev = evolve(scen, initial_pure(scen.layout, phi), grid).spectrum
             assert np.abs(ev - dense_ev).max() <= 1e-14
             entropy_moved = np.abs(entropy_bits(ev) - want[3])
@@ -1009,13 +1006,8 @@ class TestContractivity:
         series = compute_series(scenario("rtn_independent", q=10.0), grid)
         assert np.all(np.diff(series.hss) <= 1e-8)
 
-        from hsswitness.decoherence import (OhmicSpectralDensity,
-                                            ThermalBathParams)
-        from hsswitness.dynamics import Environment, Scenario
-        scen = Scenario(QUBIT_QUTRIT, Environment(
-            bath=ThermalBathParams(OhmicSpectralDensity(0.1, 1.0, 20.0),
-                                   temperature=1.0),
-            bath_couplings=((1, 0), (0, 1))))
+        scen = Scenario(QUBIT_QUTRIT, ThermalBathParams(
+            OhmicSpectralDensity(0.1, 1.0, 20.0), temperature=1.0), ((1, 0), (0, 1)))
         tgrid = np.linspace(0, 3, 100)
         hvals = [hss(evolve(scen, initial_pure(QUBIT_QUTRIT, np.pi), t))
                  for t in tgrid]

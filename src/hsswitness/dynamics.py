@@ -185,10 +185,20 @@ def scenario(kind: str, number=None, /, **params) -> Scenario:
 # --- initial states ---------------------------------------------------------
 
 def initial_pure(layout: SpinLayout, phi: float) -> DensityMatrix:
-    """Uniform superposition with phase e^{i phi} on the first basis ket."""
+    """Uniform superposition with phase e^{i phi} on the first basis ket.
+
+    A phase real to rounding, |Im e^{i phi}| <= 4 eps (phi = k pi, |k| <= 7,
+    the default pi included), is taken as its real part, then exactly +-1:
+    the state is held real, so its stacks run in float64.  The bound does not
+    grow with |phi|: any other phase is np.exp(1j * phi) as it comes."""
+    if not math.isfinite(phi):
+        raise InvalidParams(f"phase phi must be finite, got {phi}")
     d = layout.dim
+    phase = np.exp(1j * phi)
+    if abs(phase.imag) <= 4 * np.finfo(float).eps:
+        phase = phase.real
     amps = np.ones(d, dtype=complex) / np.sqrt(d)
-    amps[0] *= np.exp(1j * phi)
+    amps[0] *= phase
     return DensityMatrix(np.outer(amps, amps.conj()), layout.dims)
 
 

@@ -231,7 +231,9 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
     ``mixed_p`` is given (qubit-qutrit layout only), otherwise from the pure
     state at phase ``phi``, mirroring how the quantifiers are compared in
     practice.  A single spin has no bipartition: under the trivial split
-    both are exactly 0.
+    both are exactly 0.  ``phi`` must be finite; within rounding of k pi
+    (the default pi; see ``initial_pure``) the pure state is real and its
+    stacks run in float64, at any other phase in complex128.
 
     The grid (1-D, finite, strictly increasing, >= 2 points) runs in blocks of
     BLOCK_ENTRIES entries (>= 16 states for a single spin), each evaluating F once

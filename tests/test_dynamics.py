@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,38 @@ class TestInitialStates:
         assert np.allclose(m[0, 1:], -1 / 6, atol=1e-12)
         assert np.allclose(m[1:, 1:], 1 / 6, atol=1e-12)
         assert abs(m.trace() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("layout", [QUBIT_QUTRIT, SpinLayout((2.5,))])
+    @pytest.mark.parametrize("phi,sign", [(0.0, 1), (np.pi, -1), (-np.pi, -1),
+                                          (2 * np.pi, 1), (7 * np.pi, -1)])
+    def test_phase_real_to_rounding_is_held_real(self, layout, phi, sign):
+        # |Im e^{i phi}| <= 4 eps: the phase is exactly +-1, so amps[0] is
+        # exactly +-1/sqrt(d) and the state is float64
+        amps = np.full(layout.dim, 1.0 / np.sqrt(layout.dim))
+        amps[0] *= sign
+        m = initial_pure(layout, phi).matrix
+        assert m.dtype == np.float64
+        assert np.array_equal(m, np.outer(amps, amps))
+
+    @pytest.mark.parametrize("phi", [8 * np.pi, np.pi / 3, 1e-9, 1e17, 1e300])
+    def test_other_phases_are_unchanged(self, phi):
+        # the bound does not grow with |phi|: these keep np.exp(1j * phi) as
+        # it comes, bit for bit, and stay complex
+        amps = np.ones(6, dtype=complex) / np.sqrt(6)
+        amps[0] *= np.exp(1j * phi)
+        m = initial_pure(QUBIT_QUTRIT, phi).matrix
+        assert m.dtype == np.complex128
+        assert np.array_equal(m, np.outer(amps, amps.conj()))
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match="^phase phi must be finite"):
+                initial_pure(QUBIT_QUTRIT, phi)
+            with pytest.raises(InvalidParams, match="^phase phi must be finite"):
+                compute_series(scenario("rtn_independent"), np.linspace(0, 1, 8),
+                               phi=phi)
 
     def test_pure_mask_structure(self):
         # phi winds entry (0, j) by +1, entry (j, 0) by -1 and no other entry

@@ -187,13 +187,16 @@ class TestSeries:
         assert 0 < len(calls) <= 2 * blocks
         assert sum(calls) >= 561
 
-    @pytest.mark.parametrize("mixed_p", [None, 0.3])
-    def test_one_eigensolve_per_marginal(self, monkeypatch, mixed_p):
-        # one block.  Pure family at phi = pi: F / d is one real solve, as MID
-        # reads its spectrum, the partial transposes one complex solve and the
-        # dense marginals one eigh each.  Mixed family, real: F / d is solved
-        # only at the uncertified tau = 0, the mixed state's own check and the
-        # partial transposes are real solves, and the diagonal marginals need none
+    @pytest.mark.parametrize("mixed_p,phi", [(None, np.pi), (0.3, np.pi),
+                                             (None, np.pi / 3), (0.3, np.pi / 3)],
+                             ids=["None", "0.3", "None-phi-pi/3", "0.3-phi-pi/3"])
+    def test_one_eigensolve_per_marginal(self, monkeypatch, mixed_p, phi):
+        # one block.  Pure family: F / d is one real solve, as MID reads its
+        # spectrum; at phi = pi the state is real, so its initial check, the
+        # partial transposes and the dense marginals' eigh are real too, at
+        # phi = pi / 3 complex.  Mixed family, real: F / d is solved only at
+        # the uncertified tau = 0, the mixed state's own check and the partial
+        # transposes are real solves, and the diagonal marginals need none
         solved = []
         for name in ("eigh", "eigvalsh"):
             solve = getattr(np.linalg, name)
@@ -201,11 +204,12 @@ class TestSeries:
                                 solved.append((name, a.shape, a.dtype.kind))
                                 or solve(a))
         compute_series(scenario("rtn_independent", q=0.1), np.linspace(0, 30, 100),
-                       mixed_p=mixed_p)
-        initial = [("eigvalsh", (6, 6), "c")]
+                       phi=phi, mixed_p=mixed_p)
+        kind = "f" if phi == np.pi else "c"
+        initial = [("eigvalsh", (6, 6), kind)]
         if mixed_p is None:
-            block = [("eigvalsh", (100, 6, 6), "f"), ("eigvalsh", (100, 6, 6), "c"),
-                     ("eigh", (100, 2, 2), "c"), ("eigh", (100, 3, 3), "c")]
+            block = [("eigvalsh", (100, 6, 6), "f"), ("eigvalsh", (100, 6, 6), kind),
+                     ("eigh", (100, 2, 2), kind), ("eigh", (100, 3, 3), kind)]
         else:
             initial += [("eigvalsh", (6, 6), "f")]
             block = [("eigvalsh", (1, 6, 6), "f"), ("eigvalsh", (100, 6, 6), "f"),
@@ -594,11 +598,11 @@ class TestCertificate:
         assert np.abs(series.hss - want).max() <= 1e-15
 
 
-def dense_series(scen, grid, phi, p):
+def dense_series(scen, grid, phi, p, pure0=None):
     """HSS, negativity, MID and the entropy S(rho) that MID subtracts, from
     ``validation.evolve`` and the witnesses of checked DensityMatrix stacks, in
-    compute_series' blocks: the dense route."""
-    pure0 = initial_pure(scen.layout, phi)
+    compute_series' blocks: the dense route, from ``pure0`` if given."""
+    pure0 = initial_pure(scen.layout, phi) if pure0 is None else pure0
     step = max(1, witnesses.BLOCK_ENTRIES // pure0.dim**2)
     out = np.zeros((4, grid.size))
     for start in range(0, grid.size, step):
@@ -678,6 +682,22 @@ class TestSeriesAgainstDenseRoute:
             assert np.abs(ev - dense_ev).max() <= 1e-14
             entropy_moved = np.abs(entropy_bits(ev) - want[3])
         assert (np.abs(got.mid - want[2]) <= 1e-14 + entropy_moved).all()
+
+    @pytest.mark.parametrize("p", [None, 0.3])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_default_phase_against_the_complex_state(self, kind, p):
+        # at phi = pi, e^{i pi} is held as -1 and the series runs real; it
+        # agrees to 1e-14 with the dense route from the complex state that
+        # np.exp(1j * np.pi) gives
+        amps = np.ones(6, dtype=complex) / np.sqrt(6)
+        amps[0] *= np.exp(1j * np.pi)
+        pure0 = DensityMatrix(np.outer(amps, amps.conj()), (2, 3))
+        assert pure0.matrix.dtype == np.complex128
+        scen, grid = scenario(kind), np.linspace(0.0, 30.0, 600)
+        got = compute_series(scen, grid, np.pi, p)
+        want = dense_series(scen, grid, np.pi, p, pure0)
+        for a, b in zip((got.hss, got.negativity, got.mid), want):
+            assert np.abs(a - b).max() <= 1e-14
 
 
 def eigh_eigenbases(rho, keep):

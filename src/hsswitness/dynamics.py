@@ -21,6 +21,7 @@ tau: integer tables of sum_bath (c . Delta)^2 and |c . Delta| index one Gamma
 and one D_1 ... D_max per time, with no Python loop over elements.  An
 evolved state is rho0 o F(tau); ``witnesses.compute_series`` reads it as
 that pair, and ``validation.evolve`` multiplies it out as the dense reference.
+F is the Kronecker product of one factor per group of ``spin_groups``.
 
 Dimensionless time conventions: tau = omega_0 * t for quantum baths,
 tau = nu * t for telegraph-only scenarios, nu the telegraph coupling, so
@@ -31,7 +32,7 @@ tau = omega_0 * t and evaluates the telegraph averages at nu_ratio * tau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,9 +47,11 @@ from .hilbert import DensityMatrix
 
 @dataclass(frozen=True)
 class SpinLayout:
-    """Ordered subsystem spins; each spin s contributes 2s+1 levels."""
+    """Ordered subsystem spins; spin s contributes 2s+1 levels (``dims``, set once)."""
 
     spins: tuple
+    dims: tuple = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.spins:
@@ -60,14 +63,8 @@ class SpinLayout:
                 raise InvalidParams(f"spin {s} is not a positive half-integer")
             spins.append(f)
         object.__setattr__(self, "spins", tuple(spins))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(int(2 * s) + 1 for s in self.spins)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
+        object.__setattr__(self, "dims", tuple(int(2 * s) + 1 for s in spins))
+        object.__setattr__(self, "dim", math.prod(self.dims))
 
 
 QUBIT_QUTRIT = SpinLayout((Fraction(1, 2), Fraction(1)))
@@ -232,6 +229,16 @@ def _coupling_tables(layout: SpinLayout, bath_couplings: tuple, rtn_couplings: t
     W, K = (W**2).sum(0), np.abs(K)
     W.flags.writeable = K.flags.writeable = False
     return W, K
+
+
+def spin_groups(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
+    """The spins (indices) in groups that no coupling vector joins: two share a
+    group when some bath or telegraph vector is nonzero on both."""
+    groups = [{i} for i in range(len(scenario.layout.spins))]
+    for c in scenario.bath_couplings + scenario.rtn_couplings:
+        hit = [g for g in groups if any(c[i] for i in g)]
+        groups = [g for g in groups if g not in hit] + [set().union(*hit)]
+    return tuple(sorted(tuple(sorted(g)) for g in groups if g))
 
 
 def factor_matrix(scenario: Scenario, tau) -> tuple[np.ndarray, np.ndarray]:

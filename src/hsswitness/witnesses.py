@@ -9,18 +9,19 @@ or a stack, with no Python loop over states: MID reads a diagonal marginal
 off its diagonal, else solves it by one ``eigh`` and tie-breaks degenerate
 ones as one stack.  ``compute_series`` evaluates the grid in blocks of
 states rho0 o F, each family checked once (the pure one by F's factors or
-a solve of F / d); ``extrema_report`` loops in Python once per plateau, not
-per grid point.  The closed forms are the oracles of the mixed family.
+F / d solved per spin group); ``extrema_report`` loops in Python once per
+plateau, not per grid point.  The closed forms are the oracles of the mixed family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Scenario, factor_matrix, initial_mixed, initial_pure
+from .dynamics import Scenario, factor_matrix, initial_mixed, initial_pure, spin_groups
 from .errors import InvalidParams, UnsupportedScenario
 from .hilbert import (DensityMatrix, checked_solve, entropy_bits,
                       partial_transpose, raise_first, reduced_matrix,
@@ -223,6 +224,19 @@ class _Dephased(NamedTuple):
     spectrum: np.ndarray
 
 
+def _group_eigvalsh(scenario: Scenario, m: np.ndarray) -> np.ndarray:
+    """eigvalsh of a stack m = F / d, F the Kronecker product of one factor per spin
+    group with F_ii = 1 (F where each other spin's digit is 0): the sorted product of
+    their spectra (Horn and Johnson, Thm 4.2.12), bit for bit eigvalsh(m) for one."""
+    groups, dims, lead = spin_groups(scenario), scenario.layout.dims, m.shape[:-2]
+    r, ev = m.reshape(lead + dims * 2), np.ones(lead + (1,))
+    for g in groups:  # m's factors are F_g / d, so their product lacks d^(groups - 1)
+        at = tuple(slice(None) if i in g else 0 for i in range(len(dims))) * 2
+        f = r[(...,) + at].reshape(lead + (np.prod([dims[i] for i in g]),) * 2)
+        ev = (ev[..., None] * np.linalg.eigvalsh(f)[..., None, :]).reshape(lead + (-1,))
+    return np.sort(ev, -1) * m.shape[-1] ** (len(groups) - 1)
+
+
 def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
                    mixed_p: float | None = None) -> WitnessSeries:
     """Evaluate HSS/chi (pure phase-encoded state) and negativity/MID.
@@ -237,9 +251,9 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
 
     The grid (1-D, finite, strictly increasing, >= 2 points) runs in blocks of
     BLOCK_ENTRIES entries (>= 16 states for a single spin), each evaluating F once
-    for both families.  The pure one is checked as F / d, solved for a pure pair
-    (MID reads S(F / d)), else only where F's factors do not certify it; HSS is
-    read from the first rows of pure0 and F: no series depends on the block size."""
+    for both families.  The pure one is checked as F / d, solved per spin group for
+    a pure pair (MID reads S(F / d)), else where F's factors do not certify it; HSS
+    is read off the first rows of pure0 and F: no series depends on the block size."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     if (tau_grid.ndim != 1 or tau_grid.size < 2 or not np.isfinite(tau_grid).all()
             or (np.diff(tau_grid) <= 0).any()):
@@ -260,7 +274,8 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
         solve = ~certified | solve_all
         # |psi_i|^2 = 1/d, so pure0 * F = D (F / d) D^dagger with D unitary diagonal
         if solve.any():
-            spectrum = checked_solve(F[solve] / pure0.dim, np.linalg.eigvalsh)
+            spectrum = checked_solve(F[solve] / pure0.dim,
+                                     partial(_group_eigvalsh, scenario))
         hss_vals[block] = _row_speed(pure0.matrix[0, 1:] * F[..., 0, 1:])
         if not pair:
             continue
@@ -270,10 +285,8 @@ def compute_series(scenario: Scenario, tau_grid, phi: float = np.pi,
         neg_vals[block] = negativity(state)
         mid_vals[block] = np.maximum(mid(state), 0.0)
     chi_vals = chi_series(hss_vals, tau_grid)
-    intervals = _intervals_where(chi_vals > EPS_CHI, tau_grid)
-    return WitnessSeries(tau_grid=tau_grid, hss=hss_vals, chi=chi_vals,
-                         negativity=neg_vals, mid=mid_vals,
-                         nonmarkov_intervals=intervals)
+    return WitnessSeries(tau_grid, hss_vals, chi_vals, neg_vals, mid_vals,
+                         _intervals_where(chi_vals > EPS_CHI, tau_grid))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from hsswitness import dynamics
 from hsswitness.decoherence import gamma_squeezed, rtn_dn
 from hsswitness.dynamics import (QUBIT_QUTRIT, Scenario, SpinLayout,
                                  bath_gamma, factor_matrix, initial_mixed,
-                                 initial_pure, scenario)
+                                 initial_pure, scenario, spin_groups)
 from hsswitness.errors import InvalidP, InvalidParams, UnsupportedScenario
 from hsswitness.witnesses import BLOCK_ENTRIES, compute_series
 from hsswitness.validation import (evolve, golden_mixed, golden_mixed_common,
@@ -47,6 +47,52 @@ class TestLayout:
     def test_rejects_non_half_integer(self):
         with pytest.raises(InvalidParams):
             SpinLayout((0.3,))
+
+    def test_dims_stored_but_identity_on_spins(self):
+        # dims and dim are attributes fixed at construction; equality, hash
+        # and repr read the spins alone
+        layout = SpinLayout((0.5, 1))
+        assert vars(layout) == {"spins": QUBIT_QUTRIT.spins, "dims": (2, 3), "dim": 6}
+        assert type(layout.dim) is int
+        assert layout == QUBIT_QUTRIT and hash(layout) == hash(QUBIT_QUTRIT)
+        assert repr(layout) == "SpinLayout(spins=(Fraction(1, 2), Fraction(1, 1)))"
+        assert SpinLayout((2.5, 2.5)).dim == 36 and SpinLayout((50,)).dims == (101,)
+
+
+class TestSpinGroups:
+    """Two spins share a group when some coupling vector is nonzero on both."""
+
+    @pytest.mark.parametrize("kind,groups", [
+        ("squeezed", ((0,), (1,))), ("thermal", ((0,), (1,))),
+        ("rtn_independent", ((0,), (1,))), ("rtn_common", ((0, 1),)),
+        ("composite", ((0,), (1,)))])
+    def test_kinds(self, kind, groups):
+        assert spin_groups(scenario(kind)) == groups
+
+    @pytest.mark.parametrize("kind", ["squeezed", "thermal"])
+    def test_single_spin(self, kind):
+        assert spin_groups(scenario(kind, spin=2)) == ((0,),)
+
+    @pytest.mark.parametrize("bath_c,rtn_c,groups", [
+        (((1, 0),), ((0, 0),), ((0,), (1,))),  # a zero vector joins nothing
+        (((1, 0),), (), ((0,), (1,))),  # an uncoupled spin is its own group
+        (((2, 0), (0, -1)), ((1, 0),), ((0,), (1,))),
+        (((1, 0),), ((1, -3),), ((0, 1),)),
+        (((0, 1), (2, 2)), (), ((0, 1),))])
+    def test_couplings(self, bath_c, rtn_c, groups):
+        scen = Scenario(SpinLayout((1.5, 1)), FIGURE_BATH, bath_c,
+                        0.3 if rtn_c else None, rtn_c)
+        assert spin_groups(scen) == groups
+
+    def test_split_factor_is_a_kronecker_product(self):
+        # a group's factor is F where the other spin's digit is 0 (F_ii = 1);
+        # F multiplies their exponentials and D_n in another order, so the
+        # product agrees to rounding
+        scen = Scenario(SpinLayout((1.5, 1)), FIGURE_BATH, ((2, 0), (0, 1)),
+                        0.3, ((1, 0), (0, 3)))
+        F = factor_matrix(scen, np.linspace(0.0, 3.0, 7))[0]
+        kron = F[:, ::3, ::3, None, None] * F[:, None, None, :3, :3]
+        assert np.abs(F - kron.swapaxes(2, 3).reshape(F.shape)).max() <= 1e-15
 
 
 class TestInitialStates:

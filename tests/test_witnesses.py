@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -15,7 +16,7 @@ from hsswitness.decoherence import rtn_dn
 from hsswitness.decoherence import OhmicSpectralDensity, ThermalBathParams
 from hsswitness.dynamics import (KINDS, QUBIT_QUTRIT, Scenario, SpinLayout,
                                  bath_gamma, factor_matrix, initial_mixed,
-                                 initial_pure, scenario)
+                                 initial_pure, scenario, spin_groups)
 from hsswitness.errors import (InvalidParams, NotDensityMatrix, NotHermitian,
                                UnsupportedScenario)
 from hsswitness.hilbert import (DensityMatrix, checked_solve, entropy_bits,
@@ -187,12 +188,17 @@ class TestSeries:
         assert 0 < len(calls) <= 2 * blocks
         assert sum(calls) >= 561
 
-    @pytest.mark.parametrize("mixed_p,phi", [(None, np.pi), (0.3, np.pi),
-                                             (None, np.pi / 3), (0.3, np.pi / 3)],
-                             ids=["None", "0.3", "None-phi-pi/3", "0.3-phi-pi/3"])
-    def test_one_eigensolve_per_marginal(self, monkeypatch, mixed_p, phi):
-        # one block.  Pure family: F / d is one real solve, as MID reads its
-        # spectrum; at phi = pi the state is real, so its initial check, the
+    @pytest.mark.parametrize(
+        "mixed_p,phi,kind",
+        [(p, phi, kind) for kind in ("rtn_independent", "rtn_common") for p, phi
+         in [(None, np.pi), (0.3, np.pi), (None, np.pi / 3), (0.3, np.pi / 3)]],
+        ids=[name + suffix for suffix in ("", "-rtn_common")
+             for name in ("None", "0.3", "None-phi-pi/3", "0.3-phi-pi/3")])
+    def test_one_eigensolve_per_marginal(self, monkeypatch, mixed_p, phi, kind):
+        # one block.  Pure family: F / d is solved as MID reads its spectrum,
+        # one real solve per spin group's factor of F (the (2, 2) and (3, 3)
+        # ones of independent sources, the whole (6, 6) F of the common
+        # source); at phi = pi the state is real, so its initial check, the
         # partial transposes and the dense marginals' eigh are real too, at
         # phi = pi / 3 complex.  Mixed family, real: F / d is solved only at
         # the uncertified tau = 0, the mixed state's own check and the partial
@@ -203,17 +209,19 @@ class TestSeries:
             monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve:
                                 solved.append((name, a.shape, a.dtype.kind))
                                 or solve(a))
-        compute_series(scenario("rtn_independent", q=0.1), np.linspace(0, 30, 100),
+        compute_series(scenario(kind, q=0.1), np.linspace(0, 30, 100),
                        phi=phi, mixed_p=mixed_p)
+        factors = [(6, 6)] if kind == "rtn_common" else [(2, 2), (3, 3)]
         kind = "f" if phi == np.pi else "c"
         initial = [("eigvalsh", (6, 6), kind)]
         if mixed_p is None:
-            block = [("eigvalsh", (100, 6, 6), "f"), ("eigvalsh", (100, 6, 6), kind),
+            block = [("eigvalsh", (100, 6, 6), kind),
                      ("eigh", (100, 2, 2), kind), ("eigh", (100, 3, 3), kind)]
+            block += [("eigvalsh", (100,) + f, "f") for f in factors]
         else:
             initial += [("eigvalsh", (6, 6), "f")]
-            block = [("eigvalsh", (1, 6, 6), "f"), ("eigvalsh", (100, 6, 6), "f"),
-                     ("eigvalsh", (100, 6, 6), "f")]
+            block = [("eigvalsh", (100, 6, 6), "f"), ("eigvalsh", (100, 6, 6), "f")]
+            block += [("eigvalsh", (1,) + f, "f") for f in factors]
         assert sorted(solved) == sorted(initial + block)
 
     @pytest.mark.parametrize("mixed_p", [None, 0.3])
@@ -514,6 +522,85 @@ class TestPureStackThroughFactors:
             checked_solve(F / 6, np.linalg.eigvalsh)
 
 
+def group_solver(scen):
+    """compute_series' solver of F / d for ``scen``: one eigvalsh per spin group."""
+    return functools.partial(witnesses._group_eigvalsh, scen)
+
+
+@st.composite
+def grouped_blocks(draw):
+    """A kind with a telegraph rate slow, fast or within 1e-6 of the seam q = n,
+    or a spin pair up to 5/2 (x) 5/2 under a thermal or squeezed bath and
+    telegraph noise, each coupled to the spins apart or joined; and a block of
+    tau that starts at tau = 0 or later."""
+    q = draw(st.one_of(st.floats(1e-3, 0.9), st.floats(5.0, 1e4),
+                       st.builds(lambda n, dq: n + dq, st.integers(1, 4),
+                                 st.floats(-9.99e-7, 9.99e-7))))
+    start = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+    grid = np.linspace(start, start + draw(st.floats(1e-3, 30.0)),
+                       draw(st.integers(1, 64)))
+    kind = draw(st.sampled_from(sorted(KINDS) + ["pair"]))
+    if kind != "pair":
+        return scenario(kind, **({"q": q} if "q" in KINDS[kind][0] else {})), grid
+    spins = tuple(draw(st.integers(1, 5)) / 2 for _ in range(2))
+    entry = st.integers(-2, 2)
+
+    def couplings():  # apart (one spin each) or joined (both, nonzero)
+        apart = st.tuples(st.tuples(entry, st.just(0)), st.tuples(st.just(0), entry))
+        joined = st.lists(st.tuples(entry.filter(bool), entry.filter(bool)),
+                          min_size=1, max_size=2).map(tuple)
+        return draw(st.one_of(st.just(()), apart, joined))
+
+    bath_c, rtn_c = couplings(), couplings()
+    if not (bath_c or rtn_c):
+        bath_c = ((1, 0), (0, 1))
+    bath = draw(st.one_of(st.builds(lambda r: scenario("squeezed", r=r).bath,
+                                    st.floats(0.0, 1.0)),
+                          st.builds(lambda t: scenario("thermal", temperature=t).bath,
+                                    st.floats(0.0, 3.0))))
+    nu_ratio = draw(st.sampled_from([1.0, 10.0]))
+    return Scenario(SpinLayout(spins), bath if bath_c else None, bath_c,
+                    q if rtn_c else None, rtn_c, nu_ratio), grid
+
+
+class TestGroupSolve:
+    """compute_series solves F / d one spin group at a time: the outer product
+    of its factors' spectra equals the dense eigvalsh to 1e-14, is eigvalsh itself
+    for one group, and fails where and as the dense solve does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_blocks())
+    @example((scenario("rtn_common", q=3 + 9e-7), np.linspace(0.0, 30.0, 600)))
+    @example((scenario("rtn_independent", q=2 + 9e-7), np.linspace(0.0, 30.0, 600)))
+    @example((scenario("rtn_common"), np.linspace(0.0, 30.0, 600)))
+    def test_property(self, case):
+        scen, grid = case
+        F = factor_matrix(scen, grid)[0] / scen.layout.dim
+        got = outcome(checked_solve, F, group_solver(scen))
+        want = outcome(checked_solve, F, np.linalg.eigvalsh)
+        if isinstance(want, tuple):
+            assert got == want
+        elif len(spin_groups(scen)) == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert isinstance(got, np.ndarray) and np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["squeezed", "thermal", "composite"])
+    @pytest.mark.parametrize("gamma", [-1e-3, -0.5, np.nan, np.inf])
+    def test_bad_gamma(self, monkeypatch, kind, gamma):
+        # negative, nan or infinite Gamma on split spins: the factored solve
+        # raises the dense solve's type and message, through compute_series too
+        scen, grid = scenario(kind), np.linspace(0.0, 1.0, 8)
+        monkeypatch.setattr(dynamics, "bath_gamma",
+                            lambda scen, t: np.where(t > 0.5, gamma, 0.1))
+        with np.errstate(invalid="ignore"):  # inf * 0
+            F = factor_matrix(scen, grid)[0] / 6
+            want = outcome(checked_solve, F, np.linalg.eigvalsh)
+            assert isinstance(want, tuple)
+            assert outcome(checked_solve, F, group_solver(scen)) == want
+            assert outcome(compute_series, scen, grid) == want
+
+
 @st.composite
 def certificate_blocks(draw):
     """A kind (or a squeezed or thermal qudit of spin <= 5), a telegraph rate
@@ -648,8 +735,9 @@ class TestSeriesAgainstDenseRoute:
     DensityMatrix.  HSS and negativity agree bit for bit, or both raise the same
     exception and message at the same first grid point.  MID = S(Pi(rho)) - S(rho)
     agrees to 1e-14 but for S(rho): the pure family's spectrum comes from F / d,
-    equal to the dense one to 1e-14, and -x log2 x, steep near x = 0, takes that
-    rounding to about 1e-14 per eigenvalue (2.1e-14 in all, near tau = 0)."""
+    solved per spin group, equal to the dense one to 1e-14, and -x log2 x, steep
+    near x = 0, takes that rounding to about 1e-14 per eigenvalue (2.1e-14 in
+    all, near tau = 0)."""
 
     @settings(max_examples=100, deadline=None)
     @given(series_cases())
@@ -677,7 +765,7 @@ class TestSeriesAgainstDenseRoute:
         assert np.array_equal(got.negativity, want[1])
         entropy_moved = 0.0
         if p is None and len(scen.layout.dims) == 2:
-            ev = checked_solve(factor_matrix(scen, grid)[0] / 6, np.linalg.eigvalsh)
+            ev = checked_solve(factor_matrix(scen, grid)[0] / 6, group_solver(scen))
             dense_ev = evolve(scen, initial_pure(scen.layout, phi), grid).spectrum
             assert np.abs(ev - dense_ev).max() <= 1e-14
             entropy_moved = np.abs(entropy_bits(ev) - want[3])

@@ -188,7 +188,7 @@ def rtn_dn(n: int, q: float, tau) -> float | np.ndarray:
     The branch depends on (n, q) only, so a grid of tau >= 0 is one call;
     D_n(0) = 1.  A float for scalar tau, else an array of tau's shape.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParams("n must be a positive integer")
     t = np.asarray(tau, dtype=float)
     if not (0 <= q < math.inf and np.all((0 <= t) & (t < math.inf))):

@@ -16,7 +16,9 @@ checks:
 * closed-form chi -- ``chi_qudit_closed`` is the exact time derivative of
   the single-qudit HSS, the oracle of the sign law sign(chi) = sign(-dGamma/dt);
 * Monte Carlo -- ``rtn_dn_montecarlo`` averages cos(n theta) over seeded
-  telegraph trajectories, the oracle of the closed-form ``decoherence.rtn_dn``.
+  telegraph trajectories, the oracle of the closed-form ``decoherence.rtn_dn``;
+  theta does not depend on n, so one set per (q, tau, seed) serves every n,
+  and ``check_montecarlo``'s 12 rows come from 3 sets.
 * tie-break loop -- ``tie_break_reference`` Gram-Schmidt processes one
   marginal's degenerate eigenspaces vector by vector, the oracle of the
   stacked tie-break inside ``witnesses.mid``; ``run_validation`` leaves it
@@ -320,29 +322,26 @@ MC_MAX_Q_TAU = 100.0
 MC_MAX_TRIALS = 1_000_000
 
 
-def _mc_chunk(n: int, q: float, tau: float, m: int,
-              rng: np.random.Generator) -> tuple[float, float]:
-    """Sum and sum of squares of cos(n * theta) over m trajectories."""
-    sign = rng.integers(0, 2, size=m) * 2 - 1
-    level = sign.astype(float)
-    theta = np.zeros(m)
-    t = np.zeros(m)
-    active = np.ones(m, dtype=bool)
-    while active.any():
-        idx = np.flatnonzero(active)
-        if q > 0.0:
-            dt = rng.exponential(1.0 / q, size=idx.size)
-        else:
-            dt = np.full(idx.size, np.inf)
-        remaining = tau - t[idx]
+def _mc_chunk(ns: tuple[int, ...], q: float, tau: float, m: int,
+              rng: np.random.Generator) -> list[tuple[float, float]]:
+    """Sum and sum of squares of cos(n * theta) over m trajectories, per n.
+
+    Only running trajectories are stepped, kept in index order, so the flip
+    times are drawn in the same order; theta holds each one's latest phase."""
+    level = (rng.integers(0, 2, size=m) * 2 - 1).astype(float)
+    theta, th, t, run = np.zeros(m), np.zeros(m), np.zeros(m), np.arange(m)
+    while run.size:
+        dt = (rng.exponential(1.0 / q, size=run.size) if q > 0.0
+              else np.full(run.size, np.inf))
+        remaining = tau - t
         step = np.minimum(dt, remaining)
-        theta[idx] += level[idx] * step
-        t[idx] += step
-        flipped = dt < remaining
-        level[idx[flipped]] *= -1.0
-        active[idx[~flipped]] = False
-    x = np.cos(n * theta)
-    return float(x.sum()), float((x * x).sum())
+        th += level * step
+        t += step
+        theta[run] = th
+        keep = np.flatnonzero(dt < remaining)
+        run, th, t, level = run[keep], th[keep], t[keep], -level[keep]
+    return [(float(x.sum()), float((x * x).sum()))
+            for x in (np.cos(n * theta) for n in ns)]
 
 
 def rtn_dn_montecarlo(n: int, q: float, tau: float, trials: int,
@@ -355,7 +354,14 @@ def rtn_dn_montecarlo(n: int, q: float, tau: float, trials: int,
     seed spawned from ``seed``, and are summed in chunk order, so memory
     stays bounded and a seed always gives the same result.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    return _montecarlo((n,), q, tau, trials, seed)[0]
+
+
+def _montecarlo(ns: tuple[int, ...], q: float, tau: float, trials: int,
+                seed: int) -> list[tuple[float, float]]:
+    """``rtn_dn_montecarlo`` per n in ns, all read off one trajectory set."""
+    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1
+           for n in ns):
         raise InvalidParams("n must be a positive integer")
     if not (0 <= q < math.inf and 0 <= tau < math.inf):
         raise InvalidParams("q and tau must be finite and >= 0")
@@ -369,12 +375,15 @@ def rtn_dn_montecarlo(n: int, q: float, tau: float, trials: int,
 
     sizes = [min(_MC_CHUNK, trials - k) for k in range(0, trials, _MC_CHUNK)]
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    parts = [_mc_chunk(n, q, tau, m, np.random.default_rng(ss))
+    parts = [_mc_chunk(ns, q, tau, m, np.random.default_rng(ss))
              for m, ss in zip(sizes, seeds)]
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    var = max(s2 - s1 * s1 / trials, 0.0) / (trials - 1)
-    return s1 / trials, math.sqrt(var / trials)
+    out = []
+    for sums in zip(*parts):
+        s1 = sum(p[0] for p in sums)
+        s2 = sum(p[1] for p in sums)
+        var = max(s2 - s1 * s1 / trials, 0.0) / (trials - 1)
+        out.append((s1 / trials, math.sqrt(var / trials)))
+    return out
 
 
 # --- the mixed family's coherence factor ----------------------------------------
@@ -528,15 +537,15 @@ def check_gamma_closed_forms() -> float:
 def check_montecarlo(trials: int = 100_000, seed: int = 11,
                      ) -> list[tuple[str, float, float]]:
     """(|mc - closed| in stderr units, absolute error) at sampled (n, q, tau)."""
-    samples = [(n, q, tau)
-               for n in (1, 2, 3, 4)
-               for q, tau in ((0.1, 3.0), (1.0, 0.5), (10.0, 3.0))]
+    ns, points = (1, 2, 3, 4), ((0.1, 3.0), (1.0, 0.5), (10.0, 3.0))
+    draws = [_montecarlo(ns, q, tau, trials, seed) for q, tau in points]
     out = []
-    for n, q, tau in samples:
-        mean, err = rtn_dn_montecarlo(n, q, tau, trials, seed)
-        exact = rtn_dn(n, q, tau)
-        sigmas = abs(mean - exact) / err if err > 0 else 0.0
-        out.append((f"mc-dn(n={n},q={q},tau={tau})", sigmas, abs(mean - exact)))
+    for k, n in enumerate(ns):
+        for (q, tau), draw in zip(points, draws):
+            mean, err = draw[k]
+            dev = abs(mean - rtn_dn(n, q, tau))
+            out.append((f"mc-dn(n={n},q={q},tau={tau})",
+                        dev / err if err > 0 else 0.0, dev))
     return out
 
 

@@ -371,6 +371,18 @@ def test_validate_prints_the_rows(capsys, monkeypatch):
                                        "validation: FAIL\n")
 
 
+def test_validate_draws_one_trajectory_set_per_point(capsys, monkeypatch):
+    # theta(tau) does not depend on n, so the 12 Monte-Carlo rows come from
+    # 3 (q, tau) points x 5 chunks of 20,000 trajectories, not 60 chunks
+    calls = []
+    chunk = validation._mc_chunk
+    monkeypatch.setattr(validation, "_mc_chunk",
+                        lambda ns, *args: calls.append(ns) or chunk(ns, *args))
+    assert main(["validate"]) == 0
+    assert calls == [(1, 2, 3, 4)] * 15
+    assert capsys.readouterr().out.count("[PASS] mc-dn(") == 12
+
+
 @pytest.mark.parametrize("args", [["--trials", "10"], ["--seed", "-3"]],
                          ids=["too-few-trials", "negative-seed"])
 def test_validate_bad_arguments_exit_code_2(capsys, args):

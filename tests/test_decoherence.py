@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsswitness.decoherence import (RTN_SEAM, OhmicSpectralDensity,
                                     SqueezedBathParams, ThermalBathParams,
                                     gamma_squeezed, gamma_thermal, rtn_dn)
 from hsswitness.errors import InvalidParams
-from hsswitness.validation import (QUAD_EPSREL, gamma_squeezed_quadrature,
+from hsswitness.validation import (QUAD_EPSREL, _mc_chunk, check_montecarlo,
+                                   gamma_squeezed_quadrature,
                                    gamma_thermal_quadrature, rtn_dn_montecarlo)
 
 
@@ -291,6 +292,45 @@ class TestRtnClosedForm:
             rtn_dn(2, 0.3, np.array([0.0, 1.0, bad, 2.0]))
 
 
+def _mc_chunk_reference(n, q, tau, m, rng):
+    """The Monte-Carlo chunk as one loop over full-length arrays, for one n:
+    every flip round gathers and scatters the running trajectories."""
+    sign = rng.integers(0, 2, size=m) * 2 - 1
+    level = sign.astype(float)
+    theta = np.zeros(m)
+    t = np.zeros(m)
+    active = np.ones(m, dtype=bool)
+    while active.any():
+        idx = np.flatnonzero(active)
+        if q > 0.0:
+            dt = rng.exponential(1.0 / q, size=idx.size)
+        else:
+            dt = np.full(idx.size, np.inf)
+        remaining = tau - t[idx]
+        step = np.minimum(dt, remaining)
+        theta[idx] += level[idx] * step
+        t[idx] += step
+        flipped = dt < remaining
+        level[idx[flipped]] *= -1.0
+        active[idx[~flipped]] = False
+    x = np.cos(n * theta)
+    return float(x.sum()), float((x * x).sum())
+
+
+@st.composite
+def _mc_cases(draw):
+    """(q, tau): no flips, slow and fast noise, and the q * tau = 100 limit,
+    each at tau = 0 or tau > 0 (the limit only at tau > 0)."""
+    regime = draw(st.sampled_from(["zero", "slow", "fast", "limit"]))
+    if regime == "limit":
+        tau = draw(st.floats(1.0, 10.0))
+        return 100.0 / tau, tau
+    tau = draw(st.sampled_from([0.0]) | st.floats(0.01, 10.0))
+    q = {"zero": st.just(0.0), "slow": st.floats(0.01, 1.0),
+         "fast": st.floats(4.0, 10.0)}[regime]
+    return draw(q), tau
+
+
 class TestRtnMonteCarlo:
     def test_tau_zero(self):
         mean, err = rtn_dn_montecarlo(1, 0.5, 0.0, 1000, seed=0)
@@ -332,3 +372,42 @@ class TestRtnMonteCarlo:
         for trials, seed in ((50, 0), (1000.5, 0), (1000, -1), (1000, 1.5)):
             with pytest.raises(InvalidParams):
                 rtn_dn_montecarlo(1, 0.5, 1.0, trials, seed=seed)
+
+    def test_check_montecarlo_rows_are_one_n_calls(self):
+        # the 12 rows read 4 values of n off 3 trajectory sets; each row must
+        # equal its own one-n estimate bit for bit, in (n, (q, tau)) order
+        trials, seed = 45_000, 11
+        want = []
+        for n in (1, 2, 3, 4):
+            for q, tau in ((0.1, 3.0), (1.0, 0.5), (10.0, 3.0)):
+                mean, err = rtn_dn_montecarlo(n, q, tau, trials, seed)
+                exact = rtn_dn(n, q, tau)
+                sigmas = abs(mean - exact) / err if err > 0 else 0.0
+                want.append((f"mc-dn(n={n},q={q},tau={tau})", sigmas,
+                             abs(mean - exact)))
+        assert check_montecarlo(trials, seed) == want
+
+    @given(case=_mc_cases(), m=st.integers(1, 20_000),
+           ns=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
+           seed=st.integers(0, 2**32 - 1))
+    @example(case=(100.0 / 3.0, 3.0), m=20_000, ns=(1, 2, 3, 4), seed=11)
+    @example(case=(0.0, 1.2), m=1, ns=(3,), seed=0)
+    @example(case=(0.5, 0.0), m=20_000, ns=(1, 2), seed=5)
+    @settings(max_examples=25, deadline=None)
+    def test_chunk_equals_reference_loop(self, case, m, ns, seed):
+        # the compacted loop draws the flip times in the reference's order and
+        # steps each trajectory through the same floating-point operations
+        q, tau = case
+        want = [_mc_chunk_reference(n, q, tau, m, np.random.default_rng(seed))
+                for n in ns]
+        assert _mc_chunk(ns, q, tau, m, np.random.default_rng(seed)) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: rtn_dn(n, 0.1, 1.0),
+    lambda n: rtn_dn_montecarlo(n, 0.1, 1.0, 1000, 0)],
+    ids=["closed-form", "monte-carlo"])
+def test_bool_n_rejected(call):
+    # True is an int to isinstance, but no telegraph winding number
+    with pytest.raises(InvalidParams, match="n must be a positive integer"):
+        call(True)

@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .decoherence import rtn_dn
-from .dynamics import Scenario, scenario
 from .errors import ConfigInvalid, HsswitnessError, InvalidParams
-from .plotting import series_svg
-from .witnesses import WitnessSeries, compute_series, extrema_report
+from .scenarios import Scenario, scenario
+if TYPE_CHECKING:
+    from .witnesses import WitnessSeries
 
 CONFIG_VERSION = 1
 
@@ -70,7 +69,7 @@ class RunConfig:
     scenario: Scenario
     tau_max: float = 3.0
     grid_points: int = 600
-    phi: float = float(np.pi)
+    phi: float = math.pi
     p: float | None = None
     outputs: tuple = ("csv", "svg")
 
@@ -104,7 +103,8 @@ def _scenario_number(key: str, value) -> float:
 
 
 def _build_scenario(block) -> Scenario:
-    block = block if isinstance(block, dict) else {}
+    if not isinstance(block, dict):
+        raise ConfigInvalid("scenario must be a JSON object")
     params = {k: v for k, v in block.items() if k != "kind"}
     try:
         return scenario(block.get("kind"), _scenario_number, **params)
@@ -118,8 +118,9 @@ def load_config(name: str, raw: dict) -> RunConfig:
     unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
     if unknown:
         raise ConfigInvalid(f"unknown key(s) {unknown}")
-    if raw.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-        raise ConfigInvalid(f"unsupported config version {raw.get('version')}")
+    version = raw.get("version", CONFIG_VERSION)
+    if type(version) not in (int, float) or version != CONFIG_VERSION:
+        raise ConfigInvalid(f"unsupported config version {version}")
     if "scenario" not in raw:
         raise ConfigInvalid("config needs a 'scenario' block")
     kwargs = {key: _number(key, raw[key]) for key in ("tau_max", "phi", "p")
@@ -142,6 +143,9 @@ def series_to_csv(series: WitnessSeries) -> str:
 
 def run_config(config: RunConfig, out_dir: Path) -> WitnessSeries:
     out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out-dir fails fast
+    import numpy as np  # the numeric modules load once the config is checked
+    from .plotting import series_svg
+    from .witnesses import compute_series, extrema_report
     grid = np.linspace(0.0, config.tau_max, config.grid_points)
     series = compute_series(config.scenario, grid, phi=config.phi,
                             mixed_p=config.p)
@@ -210,6 +214,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle_dn(args) -> int:
     from . import validation
+    from .decoherence import rtn_dn
     try:
         mean, err = validation.rtn_dn_montecarlo(args.n, args.q, args.tau,
                                                  args.trials, args.seed)

@@ -27,6 +27,9 @@ grows like 1/s as s -> 0, and under squeezing with theta != 0 like
 1e-15 / (w_c t) at small t, where the harmonics at wt and 2wt cancel to
 first order.
 
+The bath records these functions read are defined in ``scenarios``, with
+their checks, and importable from here too.
+
 Units: hbar = k_B = 1, frequencies in units of the system splitting omega_0.
 RTN times are the scaled tau = nu * t.
 """
@@ -35,57 +38,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams
+from .scenarios import (OhmicSpectralDensity, SqueezedBathParams,  # noqa: F401
+                        ThermalBathParams)
 
 #: |q - n| below which the degenerate closed form of D_n is used
 RTN_SEAM = 1e-6
 #: coth-series terms of the thermal bath summed before the Euler-Maclaurin tail
 THERMAL_TERMS = 32
-
-
-@dataclass(frozen=True)
-class OhmicSpectralDensity:
-    """J(w) = alpha * w^s / w_c^(s-1) * exp(-w / w_c)."""
-
-    alpha: float
-    s_ohmic: float
-    omega_c: float
-
-    def __post_init__(self):
-        # written as a chained comparison so that NaN fails too
-        if not 0 <= self.alpha < math.inf:
-            raise InvalidParams("alpha must be finite and >= 0")
-        if not 0 < self.s_ohmic < math.inf:
-            raise InvalidParams("Ohmic exponent must be finite and > 0")
-        if not 0 < self.omega_c < math.inf:
-            raise InvalidParams("cutoff frequency must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class ThermalBathParams:
-    spectral: OhmicSpectralDensity
-    temperature: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.temperature < math.inf:
-            raise InvalidParams("temperature must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class SqueezedBathParams:
-    spectral: OhmicSpectralDensity
-    r: float = 0.0
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.r < math.inf:
-            raise InvalidParams("squeezing amplitude must be finite and >= 0")
-        if not math.isfinite(self.theta):
-            raise InvalidParams("squeezing phase must be finite")
 
 
 def _log1m_i(u):

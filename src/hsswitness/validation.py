@@ -35,13 +35,12 @@ import math
 
 import numpy as np
 
-from .decoherence import (OhmicSpectralDensity, SqueezedBathParams,
-                          ThermalBathParams, gamma_squeezed, gamma_thermal,
-                          rtn_dn)
-from .dynamics import (QUBIT_QUTRIT, Scenario, bath_gamma, factor_matrix,
-                       initial_mixed, initial_pure, scenario)
+from .decoherence import gamma_squeezed, gamma_thermal, rtn_dn
+from .dynamics import bath_gamma, factor_matrix, initial_mixed, initial_pure
 from .errors import HsswitnessError, InvalidParams, UnsupportedScenario
 from .hilbert import DensityMatrix
+from .scenarios import (QUBIT_QUTRIT, OhmicSpectralDensity, Scenario,
+                        SqueezedBathParams, ThermalBathParams, scenario)
 from .witnesses import (DEGENERACY_GAP, hss, mid, mid_closed, negativity,
                         negativity_closed)
 

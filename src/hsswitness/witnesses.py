@@ -21,11 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Scenario, factor_matrix, initial_mixed, initial_pure, spin_groups
+from .dynamics import factor_matrix, initial_mixed, initial_pure, spin_groups
 from .errors import InvalidParams, UnsupportedScenario
 from .hilbert import (DensityMatrix, checked_solve, entropy_bits,
                       partial_transpose, raise_first, reduced_matrix,
                       spectrum_checks)
+from .scenarios import Scenario
 
 EPS_CHI = 1e-8
 EPS_NEGATIVITY = 1e-6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsswitness.dynamics import scenario
+from hsswitness.scenarios import scenario
 
 
 @pytest.fixture(scope="session")

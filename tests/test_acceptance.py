@@ -12,8 +12,8 @@ import numpy as np
 from hsswitness.decoherence import (OhmicSpectralDensity, SqueezedBathParams,
                                     ThermalBathParams, gamma_squeezed,
                                     gamma_thermal, rtn_dn)
-from hsswitness.dynamics import (QUBIT_QUTRIT, bath_gamma, initial_mixed,
-                                 initial_pure, scenario)
+from hsswitness.dynamics import bath_gamma, initial_mixed, initial_pure
+from hsswitness.scenarios import QUBIT_QUTRIT, scenario
 from hsswitness.validation import (check_golden_matrices, check_montecarlo,
                                    chi_qudit_closed, evolve,
                                    hss_finite_difference,

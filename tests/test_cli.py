@@ -13,8 +13,9 @@ import hsswitness
 from hsswitness import validation
 from hsswitness.cli import (PRESETS, load_config, main, run_config,
                             series_to_csv)
-from hsswitness.dynamics import KINDS, bath_gamma, scenario
+from hsswitness.dynamics import bath_gamma
 from hsswitness.errors import ConfigInvalid
+from hsswitness.scenarios import KINDS, scenario
 from hsswitness.validation import MC_MAX_TRIALS
 from hsswitness.witnesses import WitnessSeries
 
@@ -52,6 +53,23 @@ class TestConfig:
     def test_unknown_output_rejected(self):
         with pytest.raises(ConfigInvalid):
             load_config("x", tiny_config(outputs=["csv", "pdf"]))
+
+    @pytest.mark.parametrize("version", [1, 1.0])
+    def test_version_one_loads(self, version):
+        assert load_config("x", tiny_config(version=version)).grid_points == 16
+
+    @pytest.mark.parametrize("version", [True, False])
+    def test_version_must_be_the_number_one(self, version):
+        # True == 1 in Python, but a JSON boolean is not a number
+        with pytest.raises(ConfigInvalid,
+                           match=r"^unsupported config version "):
+            load_config("x", tiny_config(version=version))
+
+    @pytest.mark.parametrize("block", ["squeezed", [], None, 3])
+    def test_scenario_must_be_an_object(self, block):
+        with pytest.raises(ConfigInvalid,
+                           match=r"^scenario must be a JSON object$"):
+            load_config("x", tiny_config(scenario=block))
 
     #: a value for every key of every kind, drawn within its domain
     DRAWS = {"alpha": (0.05, 0.2), "s_ohmic": (0.5, 4.0), "omega_c": (5.0, 30.0),
@@ -150,7 +168,7 @@ class TestRun:
                                             monkeypatch, where):
         # a regular file in the way, not permissions: tests may run as root
         if where != "dir-as-csv":  # found before any series is computed
-            monkeypatch.setattr("hsswitness.cli.compute_series", None)
+            monkeypatch.setattr("hsswitness.witnesses.compute_series", None)
         (tmp_path / "file").write_text("x")
         (tmp_path / "fig2.csv").mkdir()
         out = {"file-as-parent": tmp_path / "file" / "sub",
@@ -417,6 +435,47 @@ def test_run_loads_no_oracle_module(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+#: the benchmark's four deliberately invalid configs (cli_batch), then
+#: others that fail in the file, at the top level, in the scenario block and
+#: between the two (a p with a spin)
+_INVALID_CONFIGS = {
+    "bad_kind": {"scenario": {"kind": "telegraph"}},
+    "coarse_grid": {"scenario": {"kind": "rtn_common"}, "grid_points": 8},
+    "bad_version": {"version": 2, "scenario": {"kind": "squeezed"}},
+    "negative_alpha": {"scenario": {"kind": "squeezed", "alpha": -1}},
+    "unparseable": "{not json",
+    "unknown_key": {"scenario": {"kind": "squeezed"}, "seed": 3},
+    "huge_spin": {"scenario": {"kind": "squeezed", "spin": 51}},
+    "p_with_spin": {"scenario": {"kind": "squeezed", "spin": 1.5}, "p": 0.3},
+}
+
+#: ``python -m hsswitness.cli`` that prints, at exit, the numeric modules loaded
+_RUN_AND_LIST_NUMERIC = """
+import atexit, json, runpy, sys
+numeric = {"hsswitness." + m for m in ("decoherence", "dynamics", "hilbert",
+                                       "plotting", "validation", "witnesses")}
+atexit.register(lambda: print(json.dumps(sorted(
+    m for m in sys.modules if m.split(".")[0] == "numpy" or m in numeric))))
+runpy.run_module("hsswitness.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("name", list(_INVALID_CONFIGS))
+def test_config_error_exits_before_numpy_loads(tmp_path, name):
+    raw = _INVALID_CONFIGS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    res = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_NUMERIC, "run",
+                          "--config", str(path), "--out-dir", str(tmp_path)],
+                         env=_python_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 2
+    assert res.stderr.startswith("invalid configuration: ")
+    assert res.stderr.count("\n") == 1
+    assert res.stdout == "[]\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 class TestOracleDn:

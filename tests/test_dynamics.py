@@ -7,10 +7,10 @@ import pytest
 
 from hsswitness import dynamics
 from hsswitness.decoherence import gamma_squeezed, rtn_dn
-from hsswitness.dynamics import (QUBIT_QUTRIT, Scenario, SpinLayout,
-                                 bath_gamma, factor_matrix, initial_mixed,
-                                 initial_pure, scenario, spin_groups)
+from hsswitness.dynamics import (bath_gamma, factor_matrix, initial_mixed,
+                                 initial_pure, spin_groups)
 from hsswitness.errors import InvalidP, InvalidParams, UnsupportedScenario
+from hsswitness.scenarios import QUBIT_QUTRIT, Scenario, SpinLayout, scenario
 from hsswitness.witnesses import BLOCK_ENTRIES, compute_series
 from hsswitness.validation import (evolve, golden_mixed, golden_mixed_common,
                                    golden_pure_composite,

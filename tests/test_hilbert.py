@@ -105,7 +105,8 @@ class TestPartialTrace:
 
     def test_pure_phase_state_qubit_marginal(self):
         # direct 6x6 partial trace by hand: off-diagonal (e^{i phi} + 2)/6
-        from hsswitness.dynamics import QUBIT_QUTRIT, initial_pure
+        from hsswitness.dynamics import initial_pure
+        from hsswitness.scenarios import QUBIT_QUTRIT
         phi = 0.9
         red = partial_trace(initial_pure(QUBIT_QUTRIT, phi), 0).matrix
         assert abs(red[0, 0] - 0.5) < 1e-14

@@ -14,13 +14,14 @@ from hsswitness.cli import PRESETS, load_config
 
 from hsswitness.decoherence import rtn_dn
 from hsswitness.decoherence import OhmicSpectralDensity, ThermalBathParams
-from hsswitness.dynamics import (KINDS, QUBIT_QUTRIT, Scenario, SpinLayout,
-                                 bath_gamma, factor_matrix, initial_mixed,
-                                 initial_pure, scenario, spin_groups)
+from hsswitness.dynamics import (bath_gamma, factor_matrix, initial_mixed,
+                                 initial_pure, spin_groups)
 from hsswitness.errors import (InvalidParams, NotDensityMatrix, NotHermitian,
                                UnsupportedScenario)
 from hsswitness.hilbert import (DensityMatrix, checked_solve, entropy_bits,
                                 reduced_matrix)
+from hsswitness.scenarios import (KINDS, QUBIT_QUTRIT, Scenario, SpinLayout,
+                                  scenario)
 from hsswitness.validation import (chi_qudit_closed, evolve,
                                    golden_pure_composite,
                                    golden_pure_rtn_common,

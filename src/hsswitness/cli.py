@@ -3,9 +3,9 @@
 Subcommands
 -----------
 ``run --preset fig2..fig8 | --config FILE [--out-dir D]``
-    Evaluate all four quantifiers on a time grid, write
-    ``<name>.csv`` (header ``tau,hss,chi,negativity,mid``, 12 significant
-    digits) and ``<name>.svg`` next to each other.
+    Evaluate all four quantifiers on a time grid, write ``<name>.csv``
+    (``tau`` and ``witnesses.COLUMNS``, 12 significant digits, one %-format)
+    and ``<name>.svg`` (their labels) next to each other.
 
 ``validate``
     Golden-matrix, closed-form-equivalence, bath-quadrature and
@@ -135,32 +135,27 @@ def load_config(name: str, raw: dict) -> RunConfig:
                      **kwargs)
 
 
-def series_to_csv(series: WitnessSeries) -> str:
-    rows = zip(series.tau_grid, series.hss, series.chi, series.negativity, series.mid)
-    return "".join(["tau,hss,chi,negativity,mid\n"] + [
-        ",".join(format(v, ".12g") for v in row) + "\n" for row in rows])
-
-
 def run_config(config: RunConfig, out_dir: Path) -> WitnessSeries:
     out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out-dir fails fast
     import numpy as np  # the numeric modules load once the config is checked
     from .plotting import series_svg
-    from .witnesses import compute_series, extrema_report
+    from .witnesses import COLUMNS, compute_series, extrema_report
     grid = np.linspace(0.0, config.tau_max, config.grid_points)
     series = compute_series(config.scenario, grid, phi=config.phi,
                             mixed_p=config.p)
     report = extrema_report(series)
-    if "csv" in config.outputs:
-        (out_dir / f"{config.name}.csv").write_text(series_to_csv(series))
+    columns = [series.tau_grid] + [getattr(series, c) for c in COLUMNS]
+    if "csv" in config.outputs:  # one %-format of the whole (n, 5) table
+        fmt = ",".join(["tau", *COLUMNS]) + "\n" + (
+            ",".join(["%.12g"] * len(columns)) + "\n") * len(series.tau_grid)
+        (out_dir / f"{config.name}.csv").write_text(
+            fmt % tuple(np.column_stack(columns).ravel().tolist()))
     if "svg" in config.outputs:
-        svg = series_svg(series.tau_grid,
-                         {"HSS": series.hss, "chi": series.chi,
-                          "negativity": series.negativity, "MID": series.mid},
+        svg = series_svg(series.tau_grid, dict(zip(COLUMNS.values(), columns[1:])),
                          title=config.name)
         (out_dir / f"{config.name}.svg").write_text(svg)
-    n_ext = len(report.extrema["hss"])
     print(f"{config.name}: {config.grid_points} points, "
-          f"{n_ext} HSS extrema, "
+          f"{len(report.extrema['hss'])} HSS extrema, "
           f"{len(series.nonmarkov_intervals)} non-Markovian interval(s), "
           f"{len(report.sudden_death)} sudden-death interval(s)")
     return series

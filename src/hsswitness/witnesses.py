@@ -28,6 +28,8 @@ from .hilbert import (DensityMatrix, checked_solve, entropy_bits,
                       spectrum_checks)
 from .scenarios import Scenario
 
+#: the series of WitnessSeries in output order (CSV names after tau), with labels
+COLUMNS = {"hss": "HSS", "chi": "chi", "negativity": "negativity", "mid": "MID"}
 EPS_CHI = 1e-8
 EPS_NEGATIVITY = 1e-6
 DEGENERACY_GAP = 1e-9
@@ -199,7 +201,7 @@ class WitnessSeries:
         t = np.asarray(self.tau_grid, dtype=float)
         if np.any(np.diff(t) <= 0):
             raise InvalidParams("tau grid must be strictly increasing")
-        for name in ("hss", "chi", "negativity", "mid"):
+        for name in COLUMNS:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != t.shape or not np.all(np.isfinite(v)):
                 raise InvalidParams(f"series {name} invalid")
@@ -334,8 +336,7 @@ def extrema_report(series: WitnessSeries) -> ExtremaReport:
     of the nearest negativity and MID extremum.
     """
     grid = series.tau_grid
-    ext = {name: _local_extrema(getattr(series, name), grid)
-           for name in ("hss", "chi", "negativity", "mid")}
+    ext = {name: _local_extrema(getattr(series, name), grid) for name in COLUMNS}
     sd = _intervals_where(series.negativity < EPS_NEGATIVITY, grid, min_len=2)
     t_hss = np.array([t for t, _ in ext["hss"]])
     offset = {}

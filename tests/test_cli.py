@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -11,13 +14,15 @@ from hypothesis import strategies as st
 
 import hsswitness
 from hsswitness import validation
-from hsswitness.cli import (PRESETS, load_config, main, run_config,
-                            series_to_csv)
+from hsswitness.cli import (MAX_GRID_POINTS, PRESETS, load_config, main,
+                            run_config)
 from hsswitness.dynamics import bath_gamma
 from hsswitness.errors import ConfigInvalid
+from hsswitness.plotting import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R,
+                                 MARGIN_T, WIDTH)
 from hsswitness.scenarios import KINDS, scenario
 from hsswitness.validation import MC_MAX_TRIALS
-from hsswitness.witnesses import WitnessSeries
+from hsswitness.witnesses import COLUMNS, WitnessSeries
 
 
 def tiny_config(**overrides):
@@ -105,17 +110,94 @@ class TestConfig:
             load_config("x", {"scenario": block})
 
 
+#: values a float formatter can get wrong: signed zeros, the smallest
+#: subnormal, extreme magnitudes, %g's switches to exponent notation and
+#: halves at the 12th significant digit, which round by their binary value
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+               0.1000000000005, 1.0000000000005, -2.5000000000005e-7,
+               9.9999999999995, 999999999999.5, 9.9999999999995e-5, 1e-5,
+               123456789012.5, 1.0, 1e16)
+
+
+def reference_csv(series):
+    """The CSV formatted one value at a time: the reference for run_config's
+    one format of the whole table."""
+    rows = zip(series.tau_grid, series.hss, series.chi, series.negativity,
+               series.mid)
+    return "".join(["tau,hss,chi,negativity,mid\n"] + [
+        ",".join(format(v, ".12g") for v in row) + "\n" for row in rows])
+
+
+def reference_polylines(series):
+    """series_svg's polyline points with one px/py call and one f-string per
+    point: the reference for its whole-array writer."""
+    values = (series.hss, series.chi, series.negativity, series.mid)
+    tau = series.tau_grid
+    xlo, xhi = float(tau[0]), float(tau[-1])
+    ylo = min(float(np.min(v)) for v in values)
+    yhi = max(float(np.max(v)) for v in values)
+    if yhi - ylo < 1e-12:
+        ylo, yhi = ylo - 0.5, yhi + 0.5
+    pad = 0.05 * (yhi - ylo)
+    ylo, yhi = ylo - pad, yhi + pad
+    pw = WIDTH - MARGIN_L - MARGIN_R
+    ph = HEIGHT - MARGIN_T - MARGIN_B
+
+    def px(x):
+        return MARGIN_L + (x - xlo) / (xhi - xlo) * pw
+
+    def py(y):
+        return MARGIN_T + (yhi - y) / (yhi - ylo) * ph
+
+    return [" ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(tau, v))
+            for v in values]
+
+
+def fake_series(kind):
+    """A compute_series stand-in: ``kind`` "edges" cycles EDGE_VALUES through
+    the HSS, chi and MID columns; "random" draws every column at random."""
+    def compute_series(scenario, grid, phi, mixed_p):
+        rng = np.random.default_rng(grid.size)
+        draw = rng.uniform(-1, 1, size=(4, grid.size))
+        if kind == "edges":
+            edges = np.resize(np.array(EDGE_VALUES), grid.size)
+            draw[[0, 1, 3]] = edges, np.roll(edges, 5), np.roll(edges, 11)
+        draw[2] = 0.5 + 0.25 * draw[2]  # positive: no sudden-death interval
+        return WitnessSeries(grid, *draw)
+    return compute_series
+
+
 class TestCsv:
-    def test_header_and_shape(self):
-        grid = np.linspace(0, 1, 4)
-        series = WitnessSeries(tau_grid=grid, hss=grid * 0 + 0.5,
-                               chi=grid * 0, negativity=grid * 0,
-                               mid=grid * 0 + 1)
-        text = series_to_csv(series)
-        lines = text.strip().split("\n")
+    def test_header_and_shape(self, tmp_path, monkeypatch):
+        def constant(scenario, grid, phi, mixed_p):
+            return WitnessSeries(tau_grid=grid, hss=grid * 0 + 0.5, chi=grid * 0,
+                                 negativity=grid * 0, mid=grid * 0 + 1)
+        monkeypatch.setattr("hsswitness.witnesses.compute_series", constant)
+        run_config(load_config("tiny", tiny_config()), tmp_path)
+        lines = (tmp_path / "tiny.csv").read_text().strip().split("\n")
         assert lines[0] == "tau,hss,chi,negativity,mid"
-        assert len(lines) == 5
+        assert len(lines) == 17
         assert lines[1] == "0,0.5,0,0,1"
+
+    def test_columns_are_the_series_fields(self):
+        fields = [f.name for f in dataclasses.fields(WitnessSeries)]
+        assert fields == ["tau_grid", *COLUMNS, "nonmarkov_intervals"]
+        assert list(COLUMNS.values()) == ["HSS", "chi", "negativity", "MID"]
+
+    @pytest.mark.parametrize("kind", ["edges", "random"])
+    @pytest.mark.parametrize("points", [16, MAX_GRID_POINTS])
+    def test_outputs_match_the_per_value_writers(self, tmp_path, monkeypatch,
+                                                 kind, points):
+        # the table and array writers print the text of the per-value ones,
+        # byte for byte, on every value and at the largest grid a config takes
+        monkeypatch.setattr("hsswitness.witnesses.compute_series",
+                            fake_series(kind))
+        series = run_config(load_config(
+            "fake", tiny_config(grid_points=points)), tmp_path)
+        assert (tmp_path / "fake.csv").read_text() == reference_csv(series)
+        svg = (tmp_path / "fake.svg").read_text()
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == \
+            reference_polylines(series)
 
 
 class TestRun:
@@ -140,6 +222,16 @@ class TestRun:
                      "--out-dir", str(tmp_path)]) == 0
         lines = (tmp_path / "tiny.csv").read_text().strip().split("\n")
         assert len(lines) == 17
+
+    def test_config_name_is_escaped_in_the_svg(self, tmp_path):
+        # the title is the config file's stem, which may hold & and <
+        path = tmp_path / "R&D <v2>.json"
+        path.write_text(json.dumps(tiny_config()))
+        assert main(["run", "--config", str(path),
+                     "--out-dir", str(tmp_path)]) == 0
+        root = ElementTree.parse(tmp_path / "R&D <v2>.svg").getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == "R&D <v2>"
 
     def test_mixed_p_config(self, tmp_path):
         path = tmp_path / "mixed.json"

@@ -18,6 +18,7 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -95,6 +96,12 @@ def golden_svg_hashes():
 
 def test_svg_hashes(preset_run):
     assert svg_hashes(preset_run[0]) == golden_svg_hashes()
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_svg_is_well_formed_xml(preset_run, name):
+    root = ElementTree.parse(preset_run[0] / f"{name}.svg").getroot()
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 4
 
 
 if __name__ == "__main__":

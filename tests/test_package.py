@@ -33,7 +33,8 @@ MOVED = ("rtn_dn_montecarlo", "_mc_chunk", "_MC_CHUNK", "MC_MAX_Q_TAU",
 #: checked_solve; the similar stack a DensityMatrix could be checked
 #: through, replaced by the blocks of compute_series; and the environment
 #: and telegraph-rate records, folded into the flat Scenario, with the private
-#: certified-factors function, now factor_matrix itself
+#: certified-factors function, now factor_matrix itself; and the per-value CSV
+#: writer, replaced by one format of the whole table in run_config
 DELETED = ("ThermalOhmic", "SqueezedVacuum", "RtnIndependent", "RtnCommon",
            "CompositeRtnSqueezed", "PhiFamily", "element_factor",
            "herm_defect", "require_hermitian", "partial_trace",
@@ -41,7 +42,7 @@ DELETED = ("ThermalOhmic", "SqueezedVacuum", "RtnIndependent", "RtnCommon",
            "scenario_squeezed", "scenario_rtn", "scenario_composite",
            "qudit_scenario", "_telegraph", "hermitian_eigenvalues",
            "_hermitian_checks", "_similar", "Environment", "RtnParams",
-           "_certified_factors")
+           "_certified_factors", "series_to_csv")
 
 
 #: each public name's home module, the one that defines it
